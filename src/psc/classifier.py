@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intercept, qp, smw
-from .dataset import LabeledMatrix, class_stats
+from .dataset import ClassStats, LabeledMatrix, class_stats
 from .intercept import Projections, choose_intercept
-from .scatter import build_factor
+from .scatter import PopulationFactor, build_factor
 
 
 class FitError(ValueError):
@@ -94,9 +94,26 @@ def _solve_dual(G: np.ndarray, data: LabeledMatrix, hp: Hyperparams, n1: int, n2
     return sol, caps
 
 
-def fit_psc(data: LabeledMatrix, hp: Hyperparams, seed_provenance: str | None = None) -> LinearModel:
+@dataclass(frozen=True)
+class TrainingSet:
+    """A training set with the work every psc fit on it shares: its class
+    statistics and its scatter factor with the factor's spectrum."""
+
+    data: LabeledMatrix
+    stats: ClassStats
+    factor: PopulationFactor
+
+
+def prepare(data: LabeledMatrix) -> TrainingSet:
     stats = class_stats(data)
-    factor = build_factor(data, stats)
+    return TrainingSet(data=data, stats=stats, factor=build_factor(data, stats))
+
+
+def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
+            seed_provenance: str | None = None) -> LinearModel:
+    """Fit psc; a prepared TrainingSet shares its factor across many fits."""
+    train = data if isinstance(data, TrainingSet) else prepare(data)
+    data, stats, factor = train.data, train.stats, train.factor
     cap = smw.lambda_cap(factor)
     if not math.isfinite(cap):
         raise FitError("degenerate data: scatter matrix is zero")

@@ -48,8 +48,8 @@ class ExperimentConfig:
             raise ConfigError("repeats must be at least 1")
 
 
-def _fit(method: str, data: LabeledMatrix, gamma: float, c0: float, config: ExperimentConfig,
-         provenance: str | None = None) -> LinearModel:
+def _fit(method: str, data: LabeledMatrix | classifier.TrainingSet, gamma: float, c0: float,
+         config: ExperimentConfig, provenance: str | None = None) -> LinearModel:
     if method == "psc":
         hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale,
                          tol=config.tol, max_iter=config.max_iter)
@@ -77,6 +77,24 @@ def _score(report: EvalReport, metric: str) -> float:
     return 1.0 - report.mwe  # higher is better throughout
 
 
+def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
+                      scores: dict, config: ExperimentConfig) -> None:
+    """Fit every cell still in scores on one inner fold and append its
+    validation score. For psc the fold's training set is prepared once for
+    all cells and dropped on return; a cell whose fit fails leaves scores."""
+    sub = LabeledMatrix(train.samples[tr], train.labels[tr])
+    if config.method == "psc":
+        sub = classifier.prepare(sub)
+    for gamma, c0 in list(scores):
+        try:
+            model = _fit(config.method, sub, gamma, c0, config)
+        except (classifier.FitError, ValueError):
+            del scores[gamma, c0]
+            continue
+        dec = train.samples[va] @ model.w + model.b
+        scores[gamma, c0].append(_score(evaluate(train.labels[va], dec), config.selection_metric))
+
+
 def tune_and_fit(
     samples: np.ndarray,
     labels: np.ndarray,
@@ -87,32 +105,22 @@ def tune_and_fit(
     """Grid-search on inner folds of train_idx, then refit on all of it.
 
     Only rows listed in train_idx are ever materialized, so held-out rows
-    stay unread during tuning and refitting.
+    stay unread during tuning and refitting. A cell that fails on any inner
+    fold is skipped.
     """
     train = LabeledMatrix(samples[train_idx], labels[train_idx])
     grid = _candidate_grid(config)
+    best = grid[0]
     if len(grid) > 1:
         inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
-        best_key, best = None, grid[0]
-        for gamma, c0 in grid:
-            scores = []
-            for f in range(config.inner_folds):
-                tr, va = inner.train_indices(f), inner.test_indices(f)
-                sub = LabeledMatrix(train.samples[tr], train.labels[tr])
-                try:
-                    model = _fit(config.method, sub, gamma, c0, config)
-                except (classifier.FitError, ValueError):
-                    scores = None
-                    break
-                dec = train.samples[va] @ model.w + model.b
-                scores.append(_score(evaluate(train.labels[va], dec), config.selection_metric))
-            if scores is None:
-                continue
-            key = (-float(np.mean(scores)), c0, gamma)  # ties: smaller c0, then gamma
+        scores = {cell: [] for cell in grid}
+        for f in range(config.inner_folds):
+            _score_inner_fold(train, inner.train_indices(f), inner.test_indices(f), scores, config)
+        best_key = None
+        for (gamma, c0), cell_scores in scores.items():
+            key = (-float(np.mean(cell_scores)), c0, gamma)  # ties: smaller c0, then gamma
             if best_key is None or key < best_key:
                 best_key, best = key, (gamma, c0)
-    else:
-        best = grid[0]
     gamma, c0 = best
     model = _fit(config.method, train, gamma, c0, config,
                  provenance=f"seed={config.seed},fold_seed={fold_seed}")

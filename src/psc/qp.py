@@ -1,10 +1,8 @@
 """Dual box QP with one equality constraint, solved by a two-coordinate
 working-set method (maximal violating pair).
 
-The pair-update loop is the hot kernel: it runs jitted under numba unless
-PSC_DISABLE_NUMBA=1, in which case a vectorized numpy implementation of the
-same iteration is used. Both paths break ties by lowest index and produce
-the same iterates.
+The pair-update loop is the hot kernel. It is vectorized over the
+coordinates with numpy and breaks ties by lowest index.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-
-from . import _accel
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000_000
@@ -70,59 +66,8 @@ def objective(problem: BoxQP, alpha: np.ndarray) -> float:
     return float(-0.5 * alpha @ problem.G @ alpha + alpha.sum())
 
 
-def _smo_loop(G, y, upper, tol, max_iter):  # pragma: no cover - jitted
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a^T G a - 1^T a
-    it = 0
-    gap = np.inf
-    while it < max_iter:
-        best_i = -1
-        best_j = -1
-        hi = -np.inf
-        lo = np.inf
-        for t in range(n):
-            score = -y[t] * grad[t]
-            if (y[t] > 0 and alpha[t] < upper[t]) or (y[t] < 0 and alpha[t] > 0.0):
-                if score > hi:
-                    hi = score
-                    best_i = t
-            if (y[t] < 0 and alpha[t] < upper[t]) or (y[t] > 0 and alpha[t] > 0.0):
-                if score < lo:
-                    lo = score
-                    best_j = t
-        gap = hi - lo
-        if best_i < 0 or best_j < 0 or gap <= tol:
-            break
-        i, j = best_i, best_j
-        room_i = upper[i] - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else upper[j] - alpha[j]
-        quad = G[i, i] + G[j, j] - 2.0 * y[i] * y[j] * G[i, j]
-        if quad > 1e-12:
-            step = min(gap / quad, room_i, room_j)
-        else:
-            step = min(room_i, room_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        if alpha[i] < 0.0:
-            alpha[i] = 0.0
-        elif alpha[i] > upper[i]:
-            alpha[i] = upper[i]
-        if alpha[j] < 0.0:
-            alpha[j] = 0.0
-        elif alpha[j] > upper[j]:
-            alpha[j] = upper[j]
-        for t in range(n):
-            grad[t] += step * (y[i] * G[t, i] - y[j] * G[t, j])
-        it += 1
-    return alpha, it, gap
-
-
-_smo_loop_jit = _accel.njit(_smo_loop)
-
-
 def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
-    """Vectorized fallback with the same selection and update rules."""
+    """The SMO iteration; callback, if given, sees alpha after each step."""
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = -np.ones(n)
@@ -165,15 +110,11 @@ def solve_smo(
 ) -> DualSolution:
     """Maximal-violating-pair ascent from alpha = 0.
 
-    callback (alpha per iteration) forces the numpy path; it exists for
-    monotonicity checks in tests.
+    callback (alpha per iteration) exists for monotonicity checks in tests.
     """
     if tol <= 0:
         raise QpError("tol must be positive")
-    if callback is None and _accel.jit_enabled():
-        alpha, it, gap = _smo_loop_jit(problem.G, problem.y, problem.upper, tol, max_iter)
-    else:
-        alpha, it, gap = _smo_numpy(problem.G, problem.y, problem.upper, tol, max_iter, callback)
+    alpha, it, gap = _smo_numpy(problem.G, problem.y, problem.upper, tol, max_iter, callback)
     gap = max(float(gap), 0.0) if np.isfinite(gap) else 0.0
     return DualSolution(
         alpha=alpha,

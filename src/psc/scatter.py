@@ -1,5 +1,6 @@
-"""Population scatter structure: the combined matrix beta*S_B + S_W and its
-low-rank factorization D^T diag(L_tau) D used by the SMW operator."""
+"""Population scatter structure: the combined matrix beta*S_B + S_W, its
+low-rank factorization D^T diag(L_tau) D, and the spectrum of that factor,
+which the SMW operator shares across every lambda."""
 
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ class PopulationFactor:
     Rows 0..n-1 of d_matrix are x_i - u_class(i) in class order (all +1 rows
     first); the last row is u1 - u2. l_tau holds 1/n1, 1/n2 and beta on the
     matching rows. order maps class-ordered rows back to input positions.
+
+    With C = diag(sqrt(l_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
+    has the nonzero eigenvalues of C^T C = beta*S_B + S_W. spectrum is
+    ascending and basis is diag(sqrt(l_tau)) U, so C^T U = D^T basis.
     """
 
     d_matrix: np.ndarray  # (n+1, d)
@@ -26,6 +31,8 @@ class PopulationFactor:
     n1: int
     n2: int
     order: np.ndarray  # (n,) original indices, class +1 rows first
+    spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
+    basis: np.ndarray  # (n+1, n+1) diag(sqrt(l_tau)) times the eigenvectors
 
     @property
     def n(self) -> int:
@@ -59,8 +66,13 @@ def build_factor(data: LabeledMatrix, stats: ClassStats | None = None) -> Popula
     l_tau[: stats.n1] = 1.0 / stats.n1
     l_tau[stats.n1 : data.n] = 1.0 / stats.n2
     l_tau[data.n] = b
+    sqrt_l = np.sqrt(l_tau)
+    C = D * sqrt_l[:, None]
+    A = C @ C.T
+    spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
     return PopulationFactor(
-        d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2, order=order
+        d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2, order=order,
+        spectrum=spectrum, basis=sqrt_l[:, None] * U,
     )
 
 

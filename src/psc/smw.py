@@ -1,7 +1,14 @@
 """Woodbury-identity operator for M = [I - lam*(beta*S_B + S_W)]^-1.
 
-All work happens in (n+1)-dimensional space: M*V = V - D^T B^-1 (D V) with
-B = (-lam*L_tau)^-1 + D D^T, so no d x d matrix is ever materialized.
+All work happens in (n+1)-dimensional space. With C = diag(sqrt(L_tau)) D,
+the factor carries one eigendecomposition C C^T = U diag(s) U^T per training
+set, and every lambda shares it:
+
+    M V = V + C^T U diag(lam / (1 - lam*s)) U^T C V
+
+The PD cap is 1/max(s), and for any lam below it the dual Gram is
+y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. No d x d
+matrix is ever materialized, and no matrix is factored per lambda.
 """
 
 from __future__ import annotations
@@ -9,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .dataset import LabeledMatrix
 from .scatter import PopulationFactor
@@ -23,18 +29,16 @@ class SmwError(ValueError):
 class SmwOperator:
     factor: PopulationFactor
     lam: float
-    lu: tuple  # pivoted LU of B
+    weights: np.ndarray  # (n+1,) lam / (1 - lam*s) on the factor's spectrum
     d: int
 
 
 def lambda_cap(factor: PopulationFactor) -> float:
-    """1/lambda_max(beta*S_B + S_W), computed from the (n+1)-space spectrum.
+    """1/lambda_max(beta*S_B + S_W), read off the factor's (n+1)-space spectrum.
 
     Returns +inf when the scatter matrix is identically zero.
     """
-    sqrt_l = np.sqrt(factor.l_tau)
-    A = (factor.d_matrix * sqrt_l[:, None]) @ (factor.d_matrix * sqrt_l[:, None]).T
-    lam_max = float(np.linalg.eigvalsh((A + A.T) / 2.0)[-1])
+    lam_max = float(factor.spectrum[-1])
     if lam_max <= 1e-300:
         return float("inf")
     return 1.0 / lam_max
@@ -46,14 +50,10 @@ def build_operator(factor: PopulationFactor, lam: float) -> SmwOperator:
         raise SmwError(f"lambda must be positive, got {lam}")
     if not lam < cap:
         raise SmwError(f"lambda {lam} not below the PD cap {cap}")
-    D = factor.d_matrix
-    B = D @ D.T
-    B[np.diag_indices_from(B)] -= 1.0 / (lam * factor.l_tau)
-    scale = np.abs(B).max()
-    lu = lu_factor(B)
-    if np.abs(np.diag(lu[0])).min() <= 1e-12 * scale:
-        raise SmwError("middle matrix numerically singular; lambda too close to an eigenvalue reciprocal")
-    return SmwOperator(factor=factor, lam=lam, lu=lu, d=factor.d)
+    margin = 1.0 - lam * factor.spectrum
+    if margin.min() < 1e-12:
+        raise SmwError("I - lambda*(beta*S_B + S_W) numerically singular; lambda too close to the cap")
+    return SmwOperator(factor=factor, lam=lam, weights=lam / margin, d=factor.d)
 
 
 def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
@@ -61,8 +61,9 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=np.float64)
     if V.shape[0] != op.d:
         raise SmwError(f"dimension mismatch: operator is {op.d}-dimensional, got {V.shape[0]}")
-    D = op.factor.d_matrix
-    return V - D.T @ lu_solve(op.lu, D @ V)
+    D, Q = op.factor.d_matrix, op.factor.basis
+    weights = op.weights if V.ndim == 1 else op.weights[:, None]
+    return V + D.T @ (Q @ (weights * (Q.T @ (D @ V))))
 
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
@@ -71,8 +72,8 @@ def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
         raise SmwError("operator was built for a different dimension")
     X = data.samples
     y = data.labels.astype(np.float64)
-    XDt = X @ op.factor.d_matrix.T
-    G0 = X @ X.T - XDt @ lu_solve(op.lu, XDt.T)
+    P = (X @ op.factor.d_matrix.T) @ op.factor.basis
+    G0 = X @ X.T + (P * op.weights) @ P.T
     G = y[:, None] * G0 * y[None, :]
     G = (G + G.T) / 2.0
     eigs = np.linalg.eigvalsh(G)

@@ -12,6 +12,7 @@ from psc.classifier import (
     load_model,
     model_to_dict,
     predict,
+    prepare,
     save_model,
 )
 from psc.dataset import FIG1_MU, FIG1_SIGMA, LabeledMatrix, simulate_hdlss
@@ -90,6 +91,17 @@ class TestFitPsc:
         model = fit_psc(data, HP)
         assert model.kkt_residual <= 1e-6
         assert model.lam > 0 and model.gamma == 0.5
+
+
+class TestPreparedTrainingSet:
+    def test_prepared_fit_matches_raw_fit_bit_for_bit(self):
+        data = simulate_hdlss(300, 20, 8, seed=12)
+        train = prepare(data)  # shared by every cell, as in the grid search
+        for gamma, c0 in [(0.1, 2.0**-5), (0.5, 1.0), (0.9, 2.0**5), (0.3, 0.5)]:
+            hp = Hyperparams(gamma=gamma, c0=c0)
+            shared, raw = fit_psc(train, hp), fit_psc(data, hp)
+            assert np.array_equal(shared.w, raw.w)
+            assert (shared.b, shared.lam, shared.kkt_residual) == (raw.b, raw.lam, raw.kkt_residual)
 
 
 class TestDecision:

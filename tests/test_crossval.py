@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from psc import classifier
+from psc.classifier import FitError, Hyperparams
 from psc.crossval import (
     ConfigError,
     DEFAULT_C0_GRID,
@@ -11,7 +13,8 @@ from psc.crossval import (
     cv_run,
     tune_and_fit,
 )
-from psc.dataset import LabeledMatrix, simulate_hdlss
+from psc.dataset import LabeledMatrix, simulate_hdlss, stratified_kfold
+from psc.metrics import evaluate
 
 
 def small_config(**kw):
@@ -117,3 +120,63 @@ class TestTuneAndFit:
         _, (gamma, c0) = tune_and_fit(samples, labels, np.arange(16),
                                       small_config(), fold_seed=1)
         assert c0 == 0.5 and gamma == 0.3
+
+
+def cell_by_cell_choice(train, config, fold_seed):
+    """The grid search written cell-outer: each cell fitted on every inner
+    fold in turn and dropped at its first failure."""
+    inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
+    best_key, best = None, None
+    for gamma in config.gamma_grid:
+        for c0 in config.c0_grid:
+            hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale,
+                             tol=config.tol, max_iter=config.max_iter)
+            scores = []
+            for f in range(config.inner_folds):
+                tr, va = inner.train_indices(f), inner.test_indices(f)
+                try:
+                    model = classifier.fit_psc(LabeledMatrix(train.samples[tr], train.labels[tr]), hp)
+                except FitError:
+                    scores = None
+                    break
+                dec = train.samples[va] @ model.w + model.b
+                scores.append(evaluate(train.labels[va], dec).bccr)
+            if scores is None:
+                continue
+            key = (-float(np.mean(scores)), c0, gamma)
+            if best_key is None or key < best_key:
+                best_key, best = key, (gamma, c0)
+    return best
+
+
+class TestFoldOuterGrid:
+    def test_matches_cell_outer_search_and_skips_a_cell_failing_on_one_fold(self, monkeypatch):
+        data = simulate_hdlss(40, 16, 24, seed=9)
+        config = small_config(gamma_grid=(0.1, 0.5, 0.9), c0_grid=(2.0**-3, 2.0, 2.0**3),
+                              inner_folds=4)
+        fold_seed = 17
+        everything = np.arange(data.n)
+        _, winner = tune_and_fit(data.samples, data.labels, everything, config, fold_seed)
+        assert winner == cell_by_cell_choice(data, config, fold_seed)
+
+        # the winning cell now fails on inner fold 1 only: the fold whose
+        # validation rows hold the marked row, so its training set lacks it
+        inner = stratified_kfold(data.labels, config.inner_folds, seed=fold_seed)
+        mark = data.samples[inner.test_indices(1)[0], 0]
+        real_fit = classifier.fit_psc
+        calls = []
+
+        def fit_failing_once(train, hp, seed_provenance=None):
+            rows = train.data if isinstance(train, classifier.TrainingSet) else train
+            calls.append((hp.gamma, hp.c0))
+            if (hp.gamma, hp.c0) == winner and mark not in rows.samples[:, 0]:
+                raise FitError("injected failure")
+            return real_fit(train, hp, seed_provenance=seed_provenance)
+
+        monkeypatch.setattr(classifier, "fit_psc", fit_failing_once)
+        _, chosen = tune_and_fit(data.samples, data.labels, everything, config, fold_seed)
+        assert calls.count(winner) == 2  # folds 0 and 1; never scored on folds 2 and 3
+        calls.clear()
+        expected = cell_by_cell_choice(data, config, fold_seed)
+        assert calls.count(winner) == 2
+        assert chosen == expected != winner

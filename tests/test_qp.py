@@ -146,14 +146,3 @@ class TestKktViolation:
             kkt_violation(p, sol.alpha), abs=1e-12
         )
 
-
-class TestPathParity:
-    def test_numba_and_numpy_agree(self, monkeypatch):
-        from psc import _accel
-
-        results = []
-        for disabled in ("", "1"):
-            monkeypatch.setenv("PSC_DISABLE_NUMBA", disabled)
-            p = random_small_problem(99, n=3)
-            results.append(solve_smo(p).alpha)
-        assert np.array_equal(results[0], results[1])
