@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +84,19 @@ def _class_weights(y: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.where(y > 0, 1.0, n1 / n2)
 
 
-def _solve_dual(G: np.ndarray, data: LabeledMatrix, hp: Hyperparams, n1: int, n2: int):
-    y = data.labels.astype(np.float64)
-    caps = hp.c0 * _class_weights(y, n1, n2)
+def _solve_dual(G: np.ndarray, y: np.ndarray, c0: float, tol: float, max_iter: int,
+                n1: int, n2: int):
+    caps = c0 * _class_weights(y, n1, n2)
     problem = qp.BoxQP(G=G, y=y, upper=caps)
-    sol = qp.solve_smo(problem, tol=hp.tol, max_iter=hp.max_iter)
+    sol = qp.solve_smo(problem, tol=tol, max_iter=max_iter)
     if not np.any(sol.alpha):
         raise FitError("trivial dual: all multipliers are zero (c0 too small)")
     return sol, caps
+
+
+def _intercept(proj: np.ndarray, labels: np.ndarray, r_scale: float) -> float:
+    """The adaptive intercept from the training rows' projections."""
+    return choose_intercept(Projections(pos=proj[labels == 1], neg=proj[labels == -1]), r_scale)
 
 
 @dataclass(frozen=True)
@@ -120,11 +125,10 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
     lam = hp.gamma * cap
     op = smw.build_operator(factor, lam)
     G = smw.gram(op, data)
-    sol, _ = _solve_dual(G, data, hp, stats.n1, stats.n2)
+    y = data.labels.astype(np.float64)
+    sol, _ = _solve_dual(G, y, hp.c0, hp.tol, hp.max_iter, stats.n1, stats.n2)
     w = smw.apply_inverse(op, data.samples.T @ (data.labels * sol.alpha))
-    proj = data.samples @ w
-    p = Projections(pos=proj[data.labels == 1], neg=proj[data.labels == -1])
-    b = choose_intercept(p, hp.r_scale)
+    b = _intercept(data.samples @ w, data.labels, hp.r_scale)
     return LinearModel(
         w=w,
         b=b,
@@ -143,19 +147,20 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
 
 def fit_cssvm(
     data: LabeledMatrix,
-    c0: float = 1.0,
+    c0: float = Hyperparams.c0,
     tol: float = qp.DEFAULT_TOL,
     max_iter: int = qp.DEFAULT_MAX_ITER,
     r_scale: float = intercept.DEFAULT_R,
     seed_provenance: str | None = None,
 ) -> LinearModel:
     """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram)."""
+    if c0 <= 0 or r_scale <= 0:
+        raise FitError("c0 and r_scale must be positive")
     stats = class_stats(data)
     y = data.labels.astype(np.float64)
     G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
     G = (G + G.T) / 2.0
-    hp = Hyperparams(gamma=0.5, c0=c0, r_scale=r_scale, tol=tol, max_iter=max_iter)
-    sol, caps = _solve_dual(G, data, hp, stats.n1, stats.n2)
+    sol, caps = _solve_dual(G, y, c0, tol, max_iter, stats.n1, stats.n2)
     w = data.samples.T @ (y * sol.alpha)
     proj = data.samples @ w
     eps = 1e-8 * caps.max()
@@ -163,8 +168,7 @@ def fit_cssvm(
     if free.any():
         b = float(np.mean(y[free] - proj[free]))
     else:
-        p = Projections(pos=proj[data.labels == 1], neg=proj[data.labels == -1])
-        b = choose_intercept(p, r_scale)
+        b = _intercept(proj, data.labels, r_scale)
     return LinearModel(
         w=w,
         b=b,
@@ -191,9 +195,7 @@ def fit_rmdd(
     if norm == 0.0:
         raise FitError("class means coincide: mean-difference direction undefined")
     w = diff / norm
-    proj = data.samples @ w
-    p = Projections(pos=proj[data.labels == 1], neg=proj[data.labels == -1])
-    b = choose_intercept(p, r_scale)
+    b = _intercept(data.samples @ w, data.labels, r_scale)
     return LinearModel(
         w=w,
         b=b,
@@ -203,6 +205,24 @@ def fit_rmdd(
         r_scale=r_scale,
         seed_provenance=seed_provenance,
     )
+
+
+METHODS = ("psc", "cssvm", "rmdd")
+
+
+def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams,
+        seed_provenance: str | None = None) -> LinearModel:
+    """Fit one of METHODS with the settings in hp. psc reads all of them,
+    cssvm reads c0, tol, max_iter and r_scale, and rmdd reads only r_scale.
+    Only psc takes a prepared TrainingSet."""
+    if method == "psc":
+        return fit_psc(data, hp, seed_provenance=seed_provenance)
+    if method == "cssvm":
+        return fit_cssvm(data, c0=hp.c0, tol=hp.tol, max_iter=hp.max_iter,
+                         r_scale=hp.r_scale, seed_provenance=seed_provenance)
+    if method == "rmdd":
+        return fit_rmdd(data, r_scale=hp.r_scale, seed_provenance=seed_provenance)
+    raise FitError(f"unknown method {method!r}")
 
 
 def bayes_oracle(mu_pos: np.ndarray, mu_neg: np.ndarray, sigma: np.ndarray) -> LinearModel:

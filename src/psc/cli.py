@@ -58,16 +58,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = _maybe_zscore(_load(args.train, args.label_column, args.positive), args.zscore)
-    provenance = f"seed={args.seed}"
-    if args.method == "psc":
-        hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale,
-                         tol=args.tol, max_iter=args.max_iter)
-        model = classifier.fit_psc(data, hp, seed_provenance=provenance)
-    elif args.method == "cssvm":
-        model = classifier.fit_cssvm(data, c0=args.c0, tol=args.tol, max_iter=args.max_iter,
-                                     r_scale=args.r_scale, seed_provenance=provenance)
-    else:
-        model = classifier.fit_rmdd(data, r_scale=args.r_scale, seed_provenance=provenance)
+    hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale,
+                     tol=args.tol, max_iter=args.max_iter)
+    model = classifier.fit(args.method, data, hp, seed_provenance=f"seed={args.seed}")
     classifier.save_model(model, args.out)
     print(f"fitted {args.method} on {data.n} x {data.d}; model written to {args.out}")
     if not model.converged:
@@ -107,28 +100,19 @@ def cmd_cv(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config_doc = json.load(fh)
-    # flags win over config-file fields
-    overrides = {
-        "method": args.method,
-        "outer_folds": args.outer_folds,
-        "inner_folds": args.inner_folds,
-        "repeats": args.repeats,
-        "selection_metric": args.selection_metric,
-        "r_scale": args.r_scale,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config_doc[key] = value
-    if args.gamma_grid:
-        config_doc["gamma_grid"] = [float(v) for v in args.gamma_grid.split(",")]
-    if args.c0_grid:
-        config_doc["c0_grid"] = [float(v) for v in args.c0_grid.split(",")]
-    for key in ("gamma_grid", "c0_grid"):
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = sorted(set(config_doc) - set(fields))
+    if unknown:
+        raise crossval.ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    grids = ("gamma_grid", "c0_grid")
+    for key in grids:
         if key in config_doc:
             config_doc[key] = tuple(config_doc[key])
-    config = ExperimentConfig(**{k: v for k, v in config_doc.items()
-                                 if k in ExperimentConfig.__dataclass_fields__})
+    # flags win over config-file fields
+    for key, value in vars(args).items():
+        if key in fields and value is not None:
+            config_doc[key] = tuple(float(v) for v in value.split(",")) if key in grids else value
+    config = ExperimentConfig(**config_doc)
     data = _maybe_zscore(_load(args.data, args.label_column, args.positive), args.zscore)
     result = crossval.cv_run(data, config)
     out_dir = Path(args.out_dir)
@@ -148,16 +132,13 @@ def cmd_demo_fig1(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bayes = classifier.bayes_oracle(dataset.FIG1_MU, -dataset.FIG1_MU, dataset.FIG1_SIGMA)
+    hp = Hyperparams(gamma=args.gamma, c0=args.c0)
     for tag, n_pos, n_neg in FIG1_CONFIGS:
         data = dataset.simulate_fig1(n_pos, n_neg, args.seed + ord(tag))
         dataset.write_csv(data, out_dir / f"fig1_{tag}_samples.csv")
         rows = []
-        models = {
-            "psc": classifier.fit_psc(data, Hyperparams(gamma=args.gamma, c0=args.c0)),
-            "cssvm": classifier.fit_cssvm(data, c0=args.c0),
-            "rmdd": classifier.fit_rmdd(data),
-            "bayes": bayes,
-        }
+        models = {m: classifier.fit(m, data, hp) for m in classifier.METHODS}
+        models["bayes"] = bayes
         for name, model in models.items():
             rows.append([name, format(model.w[0], ".17g"), format(model.w[1], ".17g"),
                          format(model.b, ".17g")])
@@ -189,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="train a model on a CSV data set")
-    p.add_argument("--method", choices=crossval.METHODS, default="psc")
+    p.add_argument("--method", choices=classifier.METHODS, default="psc")
     p.add_argument("--train", required=True)
     _add_data_flags(p)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--r-scale", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=10_000_000)
+    p.add_argument("--gamma", type=float, default=Hyperparams.gamma)
+    p.add_argument("--c0", type=float, default=Hyperparams.c0)
+    p.add_argument("--r-scale", type=float, default=Hyperparams.r_scale)
+    p.add_argument("--tol", type=float, default=Hyperparams.tol)
+    p.add_argument("--max-iter", type=int, default=Hyperparams.max_iter)
     p.add_argument("--zscore", action="store_true", help="opt-in per-feature standardization")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", required=True)
@@ -221,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_data_flags(p)
     p.add_argument("--config", default=None, help="JSON config; flags override its fields")
-    p.add_argument("--method", choices=crossval.METHODS, default=None)
+    p.add_argument("--method", choices=classifier.METHODS, default=None)
     p.add_argument("--outer-folds", type=int, default=None)
     p.add_argument("--inner-folds", type=int, default=None)
     p.add_argument("--repeats", type=int, default=None)
@@ -236,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-fig1", help="emit the 2-D border-variability demo as CSV")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--c0", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=Hyperparams.gamma)
+    p.add_argument("--c0", type=float, default=Hyperparams.c0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_demo_fig1)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .metrics import EvalReport, evaluate, report_to_dict
 
 DEFAULT_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_C0_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5)
-METHODS = ("psc", "cssvm", "rmdd")
 SELECTION_METRICS = ("bccr", "total_ccr", "mwe")
 
 
@@ -26,17 +25,17 @@ class ExperimentConfig:
     method: str = "psc"
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     c0_grid: tuple[float, ...] = DEFAULT_C0_GRID
-    r_scale: float = 2.0
+    r_scale: float = Hyperparams.r_scale
     outer_folds: int = 5
     inner_folds: int = 4
     repeats: int = 18
     selection_metric: str = "bccr"
     seed: int = 0
-    tol: float = 1e-6
-    max_iter: int = 10_000_000
+    tol: float = Hyperparams.tol
+    max_iter: int = Hyperparams.max_iter
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in classifier.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.selection_metric not in SELECTION_METRICS:
             raise ConfigError(f"unknown selection metric {self.selection_metric!r}")
@@ -46,27 +45,23 @@ class ExperimentConfig:
             raise ConfigError("fold counts must be at least 2")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        try:  # every grid value, so that no cell fails for its settings alone
+            for gamma in self.gamma_grid:
+                for c0 in self.c0_grid:
+                    self.hyperparams(gamma, c0)
+        except classifier.FitError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def hyperparams(self, gamma: float, c0: float) -> Hyperparams:
+        return Hyperparams(gamma=gamma, c0=c0, r_scale=self.r_scale,
+                           tol=self.tol, max_iter=self.max_iter)
 
 
-def _fit(method: str, data: LabeledMatrix | classifier.TrainingSet, gamma: float, c0: float,
-         config: ExperimentConfig, provenance: str | None = None) -> LinearModel:
-    if method == "psc":
-        hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale,
-                         tol=config.tol, max_iter=config.max_iter)
-        return classifier.fit_psc(data, hp, seed_provenance=provenance)
-    if method == "cssvm":
-        return classifier.fit_cssvm(data, c0=c0, tol=config.tol, max_iter=config.max_iter,
-                                    r_scale=config.r_scale, seed_provenance=provenance)
-    return classifier.fit_rmdd(data, r_scale=config.r_scale, seed_provenance=provenance)
-
-
-def _candidate_grid(config: ExperimentConfig) -> list[tuple[float, float]]:
+def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:
     # rmdd has no tunables; cssvm ignores gamma
-    if config.method == "rmdd":
-        return [(config.gamma_grid[0], config.c0_grid[0])]
-    if config.method == "cssvm":
-        return [(config.gamma_grid[0], c0) for c0 in config.c0_grid]
-    return [(g, c0) for g in config.gamma_grid for c0 in config.c0_grid]
+    gammas = config.gamma_grid if config.method == "psc" else config.gamma_grid[:1]
+    c0s = config.c0_grid[:1] if config.method == "rmdd" else config.c0_grid
+    return [config.hyperparams(g, c0) for g in gammas for c0 in c0s]
 
 
 def _score(report: EvalReport, metric: str) -> float:
@@ -85,14 +80,14 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
     sub = LabeledMatrix(train.samples[tr], train.labels[tr])
     if config.method == "psc":
         sub = classifier.prepare(sub)
-    for gamma, c0 in list(scores):
+    for hp in list(scores):
         try:
-            model = _fit(config.method, sub, gamma, c0, config)
+            model = classifier.fit(config.method, sub, hp)
         except (classifier.FitError, ValueError):
-            del scores[gamma, c0]
+            del scores[hp]
             continue
         dec = train.samples[va] @ model.w + model.b
-        scores[gamma, c0].append(_score(evaluate(train.labels[va], dec), config.selection_metric))
+        scores[hp].append(_score(evaluate(train.labels[va], dec), config.selection_metric))
 
 
 def tune_and_fit(
@@ -113,18 +108,17 @@ def tune_and_fit(
     best = grid[0]
     if len(grid) > 1:
         inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
-        scores = {cell: [] for cell in grid}
+        scores = {hp: [] for hp in grid}
         for f in range(config.inner_folds):
             _score_inner_fold(train, inner.train_indices(f), inner.test_indices(f), scores, config)
         best_key = None
-        for (gamma, c0), cell_scores in scores.items():
-            key = (-float(np.mean(cell_scores)), c0, gamma)  # ties: smaller c0, then gamma
+        for hp, cell_scores in scores.items():
+            key = (-float(np.mean(cell_scores)), hp.c0, hp.gamma)  # ties: smaller c0, then gamma
             if best_key is None or key < best_key:
-                best_key, best = key, (gamma, c0)
-    gamma, c0 = best
-    model = _fit(config.method, train, gamma, c0, config,
-                 provenance=f"seed={config.seed},fold_seed={fold_seed}")
-    return model, best
+                best_key, best = key, hp
+    model = classifier.fit(config.method, train, best,
+                           seed_provenance=f"seed={config.seed},fold_seed={fold_seed}")
+    return model, (best.gamma, best.c0)
 
 
 def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
@@ -159,6 +153,9 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
             })
             rep_labels.append(labels[test_idx])
             rep_decisions.append(dec)
+        if not rep_labels:
+            raise classifier.FitError(f"repeat {rep}: every outer fold failed; "
+                                      f"fold 0: {fold_reports[0]['error']}")
         pooled = evaluate(np.concatenate(rep_labels), np.concatenate(rep_decisions))
         repeats_out.append({
             "repeat": rep,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,25 +126,19 @@ def evaluate(labels, decisions) -> EvalReport:
         fp=int((~pos & (preds == 1)).sum()),
         tn=int((~pos & (preds == -1)).sum()),
     )
-    both_classes = confusion.positives > 0 and confusion.negatives > 0
-    ccr1 = confusion.tp / confusion.positives if confusion.positives else float("nan")
-    ccr2 = confusion.tn / confusion.negatives if confusion.negatives else float("nan")
-    total = (confusion.tp + confusion.tn) / labels.size
-    if both_classes:
-        the_mwe, the_bccr = mwe(ccr1, ccr2), bccr(ccr1, ccr2)
+    if confusion.positives and confusion.negatives:
         roc, auc = roc_curve(labels, decisions)
-    else:
-        the_mwe = the_bccr = float("nan")
-        roc, auc = None, None
+        return replace(report_from_confusion(confusion), roc=roc, auc=auc)
+    nan = float("nan")
     return EvalReport(
         confusion=confusion,
-        ccr1=ccr1,
-        ccr2=ccr2,
-        total_ccr=total,
-        mwe=the_mwe,
-        bccr=the_bccr,
-        roc=roc,
-        auc=auc,
+        ccr1=confusion.tp / confusion.positives if confusion.positives else nan,
+        ccr2=confusion.tn / confusion.negatives if confusion.negatives else nan,
+        total_ccr=(confusion.tp + confusion.tn) / labels.size,
+        mwe=nan,
+        bccr=nan,
+        roc=None,
+        auc=None,
     )
 
 

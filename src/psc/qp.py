@@ -72,18 +72,19 @@ def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
     alpha = np.zeros(n)
     grad = -np.ones(n)
     it = 0
-    gap = np.inf
-    while it < max_iter:
+    while True:
         score = -y * grad
         up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
         low_mask = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0.0))
         if not up_mask.any() or not low_mask.any():
-            break
+            return alpha, it, 0.0
         i = int(np.argmax(np.where(up_mask, score, -np.inf)))
         j = int(np.argmin(np.where(low_mask, score, np.inf)))
         gap = score[i] - score[j]
-        if gap <= tol:
-            break
+        # the gap is of the current alpha, so a solve stopped by the cap
+        # reports the residual of the iterate it returns
+        if gap <= tol or it >= max_iter:
+            return alpha, it, gap
         room_i = upper[i] - alpha[i] if y[i] > 0 else alpha[i]
         room_j = alpha[j] if y[j] > 0 else upper[j] - alpha[j]
         quad = G[i, i] + G[j, j] - 2.0 * y[i] * y[j] * G[i, j]
@@ -99,7 +100,6 @@ def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
         it += 1
         if callback is not None:
             callback(alpha.copy())
-    return alpha, it, gap
 
 
 def solve_smo(
@@ -115,7 +115,7 @@ def solve_smo(
     if tol <= 0:
         raise QpError("tol must be positive")
     alpha, it, gap = _smo_numpy(problem.G, problem.y, problem.upper, tol, max_iter, callback)
-    gap = max(float(gap), 0.0) if np.isfinite(gap) else 0.0
+    gap = max(float(gap), 0.0)
     return DualSolution(
         alpha=alpha,
         objective=objective(problem, alpha),

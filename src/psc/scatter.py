@@ -18,7 +18,7 @@ class PopulationFactor:
 
     Rows 0..n-1 of d_matrix are x_i - u_class(i) in class order (all +1 rows
     first); the last row is u1 - u2. l_tau holds 1/n1, 1/n2 and beta on the
-    matching rows. order maps class-ordered rows back to input positions.
+    matching rows.
 
     With C = diag(sqrt(l_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
     has the nonzero eigenvalues of C^T C = beta*S_B + S_W. spectrum is
@@ -30,7 +30,6 @@ class PopulationFactor:
     beta: float
     n1: int
     n2: int
-    order: np.ndarray  # (n,) original indices, class +1 rows first
     spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
     basis: np.ndarray  # (n+1, n+1) diag(sqrt(l_tau)) times the eigenvectors
 
@@ -56,7 +55,6 @@ def build_factor(data: LabeledMatrix, stats: ClassStats | None = None) -> Popula
         stats = class_stats(data)
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
-    order = np.concatenate([pos, neg])
     b = beta(stats.n1, stats.n2)
     D = np.empty((data.n + 1, data.d))
     D[: stats.n1] = data.samples[pos] - stats.u1
@@ -71,7 +69,7 @@ def build_factor(data: LabeledMatrix, stats: ClassStats | None = None) -> Popula
     A = C @ C.T
     spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
     return PopulationFactor(
-        d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2, order=order,
+        d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2,
         spectrum=spectrum, basis=sqrt_l[:, None] * U,
     )
 

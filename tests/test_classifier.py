@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psc import classifier
 from psc.classifier import (
     FitError,
     Hyperparams,
@@ -102,6 +103,28 @@ class TestPreparedTrainingSet:
             shared, raw = fit_psc(train, hp), fit_psc(data, hp)
             assert np.array_equal(shared.w, raw.w)
             assert (shared.b, shared.lam, shared.kkt_residual) == (raw.b, raw.lam, raw.kkt_residual)
+
+
+class TestFitDispatch:
+    def test_fit_matches_each_direct_call_bit_for_bit(self):
+        data = simulate_hdlss(30, 12, 6, seed=4)
+        hp = Hyperparams(gamma=0.3, c0=2.0, r_scale=1.5, tol=1e-7, max_iter=5000)
+        direct = {
+            "psc": fit_psc(data, hp, seed_provenance="s"),
+            "cssvm": fit_cssvm(data, c0=2.0, tol=1e-7, max_iter=5000, r_scale=1.5,
+                               seed_provenance="s"),
+            "rmdd": fit_rmdd(data, r_scale=1.5, seed_provenance="s"),
+        }
+        assert tuple(direct) == classifier.METHODS
+        for method, want in direct.items():
+            got = classifier.fit(method, data, hp, seed_provenance="s")
+            assert got.w.tobytes() == want.w.tobytes()
+            assert got.b == want.b
+            assert model_to_dict(got) == model_to_dict(want)
+
+    def test_unknown_method(self):
+        with pytest.raises(FitError, match="unknown method"):
+            classifier.fit("dwd", separable_instance(3), HP)
 
 
 class TestDecision:

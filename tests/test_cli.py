@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from psc import metrics
-from psc.cli import main
+from psc.classifier import Hyperparams
+from psc.cli import build_parser, main
 from psc.dataset import load_csv
 
 
@@ -81,6 +82,24 @@ class TestFitPredictEvaluate:
         assert doc["auc"] == pytest.approx(direct.auc, abs=1e-12)
 
 
+class TestFlagDefaults:
+    def test_fit_and_demo_defaults_are_hyperparams_defaults(self):
+        hp = Hyperparams()
+        fit = build_parser().parse_args(["fit", "--train", "t.csv", "--out", "m.json"])
+        assert (fit.gamma, fit.c0, fit.r_scale, fit.tol, fit.max_iter) == (
+            hp.gamma, hp.c0, hp.r_scale, hp.tol, hp.max_iter)
+        demo = build_parser().parse_args(["demo-fig1", "--out-dir", "fig1"])
+        assert (demo.gamma, demo.c0) == (hp.gamma, hp.c0)
+
+    def test_fit_checks_settings_for_every_method(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run("simulate", "--d", 5, "--n-pos", 6, "--n-neg", 4, "--seed", 0, "--out", data)
+        rc = run("fit", "--method", "cssvm", "--gamma", 1.5, "--train", data,
+                 "--out", tmp_path / "m.json")
+        assert rc == 1
+        assert "gamma must be in" in capsys.readouterr().err
+
+
 class TestCv:
     def test_config_file_with_flag_override(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -151,6 +170,18 @@ class TestErrorsAndDeterminism:
                  "--out-dir", tmp_path / "cv")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run("simulate", "--d", 5, "--n-pos", 6, "--n-neg", 4, "--seed", 0,
+            "--out", data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"repeat": 2}))
+        rc = run("cv", "--data", data, "--config", cfg,
+                 "--out-dir", tmp_path / "cv")
+        assert rc == 1
+        assert "unknown config keys: repeat" in capsys.readouterr().err
+        assert not (tmp_path / "cv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         files = {}

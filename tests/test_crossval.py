@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(repeats=0)
 
+    def test_fit_defaults_come_from_hyperparams(self):
+        cfg, hp = ExperimentConfig(), Hyperparams()
+        assert (cfg.r_scale, cfg.tol, cfg.max_iter) == (hp.r_scale, hp.tol, hp.max_iter)
+
+    def test_rejects_gamma_grid_values_hyperparams_rejects(self):
+        with pytest.raises(ConfigError, match="gamma must be in"):
+            ExperimentConfig(gamma_grid=(0.5, 1.0))
+
+    def test_rejects_c0_grid_values_hyperparams_rejects(self):
+        with pytest.raises(ConfigError, match="positive"):
+            ExperimentConfig(method="cssvm", c0_grid=(1.0, 0.0))
+
+    def test_rejects_r_scale_hyperparams_rejects(self):
+        with pytest.raises(ConfigError, match="positive"):
+            ExperimentConfig(method="rmdd", r_scale=-1.0)
+
 
 class TestCvRun:
     def test_trivial_separable_perfect(self):
@@ -85,6 +101,13 @@ class TestCvRun:
         data = simulate_hdlss(10, 8, 2, seed=4)  # minority smaller than k
         with pytest.raises(Exception, match="fewer than k"):
             cv_run(data, small_config(outer_folds=3))
+
+    def test_repeat_whose_folds_all_fail_names_repeat_and_error(self):
+        # identical rows have zero scatter, so every psc fit raises
+        data = LabeledMatrix(np.tile(np.arange(1.0, 7.0), (30, 1)), [1] * 10 + [-1] * 20)
+        with pytest.raises(FitError, match="repeat 0: every outer fold failed; "
+                                           "fold 0: degenerate data"):
+            cv_run(data, small_config(repeats=1))
 
     def test_rmdd_has_no_grid(self):
         data = simulate_hdlss(20, 8, 6, seed=5)

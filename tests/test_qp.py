@@ -93,10 +93,20 @@ class TestSolveSmo:
         assert diffs.min() >= -1e-12
 
     def test_iteration_cap(self):
+        # the residual is that of the returned alpha: seed 11 is solved by
+        # its one step, so a cap of 1 still converges
         p = random_small_problem(11, n=3)
         sol = solve_smo(p, max_iter=1)
-        assert not sol.converged
+        assert sol.converged
         assert sol.iterations == 1
+        assert sol.kkt_residual == kkt_violation(p, sol.alpha)
+        p = random_small_problem(3, n=3)  # 8 iterations uncapped
+        assert solve_smo(p).iterations > 1
+        for cap in (0, 1):
+            sol = solve_smo(p, max_iter=cap)
+            assert not sol.converged
+            assert sol.iterations == cap
+            assert sol.kkt_residual == pytest.approx(kkt_violation(p, sol.alpha), rel=1e-12)
 
     def test_degenerate_zero_curvature(self):
         # G = 0 has zero curvature along every pair; ascent runs to the walls
