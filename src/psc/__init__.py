@@ -28,8 +28,8 @@ from .dataset import (
 )
 from .intercept import Projections, choose_intercept
 from .metrics import ConfusionMatrix, EvalReport, bccr, evaluate, mwe
-from .qp import BoxQP, DualSolution, brute_force_small, kkt_violation, solve_smo
-from .scatter import PopulationFactor, beta, build_factor, dense_scatter
+from .qp import BoxQP, DualSolution, solve_smo
+from .scatter import PopulationFactor, beta, build_factor
 from .smw import SmwOperator, apply_inverse, build_operator, gram, lambda_cap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

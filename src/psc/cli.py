@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,23 +20,9 @@ from .crossval import ExperimentConfig
 from .dataset import LabeledMatrix
 
 
-def _default_seed() -> int:
-    env = os.environ.get("PSC_SEED")
-    return int(env) if env else 0
-
-
 def _load(path: str, label_column: str, positive: str) -> LabeledMatrix:
     positive_labels = set(positive.split(",")) if positive else {"1", "+1"}
     return dataset.load_csv(path, label_column, positive_labels)
-
-
-def _maybe_zscore(data: LabeledMatrix, enabled: bool) -> LabeledMatrix:
-    if not enabled:
-        return data
-    mean = data.samples.mean(axis=0)
-    std = data.samples.std(axis=0)
-    std[std == 0.0] = 1.0
-    return LabeledMatrix((data.samples - mean) / std, data.labels, data.feature_names)
 
 
 def _write_json(doc: dict, path) -> None:
@@ -57,7 +42,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = _maybe_zscore(_load(args.train, args.label_column, args.positive), args.zscore)
+    data = _load(args.train, args.label_column, args.positive)
     hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale,
                      tol=args.tol, max_iter=args.max_iter)
     model = classifier.fit(args.method, data, hp, seed_provenance=f"seed={args.seed}")
@@ -100,20 +85,19 @@ def cmd_cv(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config_doc = json.load(fh)
+    if not isinstance(config_doc, dict):
+        raise crossval.ConfigError("a config file holds one JSON object")
     fields = ExperimentConfig.__dataclass_fields__
     unknown = sorted(set(config_doc) - set(fields))
     if unknown:
         raise crossval.ConfigError(f"unknown config keys: {', '.join(unknown)}")
     grids = ("gamma_grid", "c0_grid")
-    for key in grids:
-        if key in config_doc:
-            config_doc[key] = tuple(config_doc[key])
     # flags win over config-file fields
     for key, value in vars(args).items():
         if key in fields and value is not None:
             config_doc[key] = tuple(float(v) for v in value.split(",")) if key in grids else value
     config = ExperimentConfig(**config_doc)
-    data = _maybe_zscore(_load(args.data, args.label_column, args.positive), args.zscore)
+    data = _load(args.data, args.label_column, args.positive)
     result = crossval.cv_run(data, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,6 +106,11 @@ def cmd_cv(args) -> int:
         _write_json(rep, out_dir / f"repeat_{rep['repeat']:03d}.json")
     pooled = result["summary"]["pooled"]
     print(f"cv done: pooled bccr={pooled['bccr']:.6f} total_ccr={pooled['total_ccr']:.6f}")
+    unconverged = sum(not fold.get("converged", True)
+                      for rep in result["repeats"] for fold in rep["folds"])
+    if unconverged:
+        print(f"warning: dual solver did not reach tolerance in {unconverged} outer-fold model(s)",
+              file=sys.stderr)
     return 0
 
 
@@ -163,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=50)
     p.add_argument("--n-pos", type=int, required=True)
     p.add_argument("--n-neg", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fig1", action="store_true", help="use the 2-D correlated-Gaussian setup")
     p.add_argument("--label-column", default="label")
     p.add_argument("--out", required=True)
@@ -178,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-scale", type=float, default=Hyperparams.r_scale)
     p.add_argument("--tol", type=float, default=Hyperparams.tol)
     p.add_argument("--max-iter", type=int, default=Hyperparams.max_iter)
-    p.add_argument("--zscore", action="store_true", help="opt-in per-feature standardization")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -210,13 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-grid", default=None, help="comma-separated values")
     p.add_argument("--c0-grid", default=None, help="comma-separated values")
     p.add_argument("--r-scale", type=float, default=None)
-    p.add_argument("--zscore", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="overrides the config file's seed (default 0)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("demo-fig1", help="emit the 2-D border-variability demo as CSV")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gamma", type=float, default=Hyperparams.gamma)
     p.add_argument("--c0", type=float, default=Hyperparams.c0)
     p.add_argument("--out-dir", required=True)

@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import classifier
+from . import classifier, intercept, qp, smw
 from .classifier import Hyperparams, LinearModel
-from .dataset import LabeledMatrix, stratified_kfold
+from .dataset import DatasetError, LabeledMatrix, stratified_kfold
 from .metrics import EvalReport, evaluate, report_to_dict
 
 DEFAULT_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_C0_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5)
 SELECTION_METRICS = ("bccr", "total_ccr", "mwe")
+# what a fit raises on data it cannot fit; any other error propagates
+FIT_ERRORS = (classifier.FitError, smw.SmwError, qp.QpError, intercept.InterceptError)
+# keyed by ExperimentConfig's annotations, which are strings under the __future__ import
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,14 @@ class ExperimentConfig:
     max_iter: int = Hyperparams.max_iter
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "tuple[float, ...]":
+                if not isinstance(value, (tuple, list)) or not all(_is_a(v, numbers.Real) for v in value):
+                    raise ConfigError(f"{f.name} must be a list of numbers, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
+            elif not _is_a(value, _FIELD_TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.method not in classifier.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.selection_metric not in SELECTION_METRICS:
@@ -83,7 +100,7 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
     for hp in list(scores):
         try:
             model = classifier.fit(config.method, sub, hp)
-        except (classifier.FitError, ValueError):
+        except FIT_ERRORS:
             del scores[hp]
             continue
         dec = train.samples[va] @ model.w + model.b
@@ -138,7 +155,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
             fold_seed = config.seed + 100_003 * (rep + 1) + f
             try:
                 model, (gamma, c0) = tune_and_fit(samples, labels, train_idx, config, fold_seed)
-            except (classifier.FitError, ValueError) as exc:
+            except (*FIT_ERRORS, DatasetError) as exc:  # or too few rows for the inner folds
                 fold_reports.append({"repeat": rep, "fold": f, "error": str(exc)})
                 continue
             dec = samples[test_idx] @ model.w + model.b

@@ -8,7 +8,6 @@ coordinates with numpy and breaks ties by lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -66,8 +65,16 @@ def objective(problem: BoxQP, alpha: np.ndarray) -> float:
     return float(-0.5 * alpha @ problem.G @ alpha + alpha.sum())
 
 
-def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
-    """The SMO iteration; callback, if given, sees alpha after each step."""
+def solve_smo(
+    problem: BoxQP,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> DualSolution:
+    """Maximal-violating-pair ascent from alpha = 0. A solve capped at
+    max_iter returns its max_iter-th iterate."""
+    if tol <= 0:
+        raise QpError("tol must be positive")
+    G, y, upper = problem.G, problem.y, problem.upper
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = -np.ones(n)
@@ -77,14 +84,15 @@ def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
         up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
         low_mask = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0.0))
         if not up_mask.any() or not low_mask.any():
-            return alpha, it, 0.0
+            gap = 0.0
+            break
         i = int(np.argmax(np.where(up_mask, score, -np.inf)))
         j = int(np.argmin(np.where(low_mask, score, np.inf)))
         gap = score[i] - score[j]
         # the gap is of the current alpha, so a solve stopped by the cap
         # reports the residual of the iterate it returns
         if gap <= tol or it >= max_iter:
-            return alpha, it, gap
+            break
         room_i = upper[i] - alpha[i] if y[i] > 0 else alpha[i]
         room_j = alpha[j] if y[j] > 0 else upper[j] - alpha[j]
         quad = G[i, i] + G[j, j] - 2.0 * y[i] * y[j] * G[i, j]
@@ -98,75 +106,11 @@ def _smo_numpy(G, y, upper, tol, max_iter, callback=None):
         alpha[j] = min(max(alpha[j], 0.0), upper[j])
         grad += step * (y[i] * G[:, i] - y[j] * G[:, j])
         it += 1
-        if callback is not None:
-            callback(alpha.copy())
-
-
-def solve_smo(
-    problem: BoxQP,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    callback=None,
-) -> DualSolution:
-    """Maximal-violating-pair ascent from alpha = 0.
-
-    callback (alpha per iteration) exists for monotonicity checks in tests.
-    """
-    if tol <= 0:
-        raise QpError("tol must be positive")
-    alpha, it, gap = _smo_numpy(problem.G, problem.y, problem.upper, tol, max_iter, callback)
     gap = max(float(gap), 0.0)
     return DualSolution(
         alpha=alpha,
         objective=objective(problem, alpha),
         kkt_residual=gap,
-        iterations=int(it),
+        iterations=it,
         converged=gap <= tol,
-    )
-
-
-def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:
-    """Max violating-pair gap at alpha; 0 at an exact optimum."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y, upper = problem.y, problem.upper
-    grad = problem.G @ alpha - 1.0
-    score = -y * grad
-    up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
-    low_mask = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0.0))
-    if not up_mask.any() or not low_mask.any():
-        return 0.0
-    hi = score[up_mask].max()
-    lo = score[low_mask].min()
-    return max(float(hi - lo), 0.0)
-
-
-def brute_force_small(problem: BoxQP, grid_points: int = 201) -> DualSolution:
-    """Exhaustive grid oracle for n <= 4: free coordinates on a grid, the
-    first coordinate solved from the equality constraint."""
-    n = problem.n
-    if n > 4:
-        raise QpError("brute force oracle limited to n <= 4")
-    if grid_points > 401 or grid_points < 2:
-        raise QpError("grid_points must be in [2, 401]")
-    y, upper = problem.y, problem.upper
-    grids = [np.linspace(0.0, upper[i], grid_points) for i in range(1, n)]
-    slack = upper[0] * 1e-12
-    best_alpha = np.zeros(n)
-    best_obj = objective(problem, best_alpha)
-    for tail in product(*grids) if n > 1 else [()]:
-        tail = np.asarray(tail)
-        a0 = -y[0] * float(tail @ y[1:]) if n > 1 else 0.0
-        if a0 < -slack or a0 > upper[0] + slack:
-            continue
-        alpha = np.concatenate([[min(max(a0, 0.0), upper[0])], tail])
-        obj = objective(problem, alpha)
-        if obj > best_obj:
-            best_obj = obj
-            best_alpha = alpha
-    return DualSolution(
-        alpha=best_alpha,
-        objective=best_obj,
-        kkt_residual=kkt_violation(problem, best_alpha),
-        iterations=grid_points ** max(n - 1, 0),
-        converged=True,
     )

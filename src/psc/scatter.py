@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassStats, LabeledMatrix, class_stats
+from .dataset import ClassStats, LabeledMatrix
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class PopulationFactor:
     basis: np.ndarray  # (n+1, n+1) diag(sqrt(l_tau)) times the eigenvectors
 
     @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
     def d(self) -> int:
         return self.d_matrix.shape[1]
 
@@ -50,9 +46,7 @@ def beta(n1: int, n2: int) -> float:
     return math.exp(-math.log(m) / 4.0)
 
 
-def build_factor(data: LabeledMatrix, stats: ClassStats | None = None) -> PopulationFactor:
-    if stats is None:
-        stats = class_stats(data)
+def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
     b = beta(stats.n1, stats.n2)
@@ -72,17 +66,3 @@ def build_factor(data: LabeledMatrix, stats: ClassStats | None = None) -> Popula
         d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2,
         spectrum=spectrum, basis=sqrt_l[:, None] * U,
     )
-
-
-def dense_scatter(data: LabeledMatrix, stats: ClassStats | None = None) -> np.ndarray:
-    """Explicit d x d matrix beta*S_B + S_W; test oracle for small d."""
-    if stats is None:
-        stats = class_stats(data)
-    pos = data.labels == 1
-    Q1 = data.samples[pos] - stats.u1
-    Q2 = data.samples[~pos] - stats.u2
-    s_w = Q1.T @ Q1 / stats.n1 + Q2.T @ Q2 / stats.n2
-    diff = stats.u1 - stats.u2
-    s_b = np.outer(diff, diff)
-    out = beta(stats.n1, stats.n2) * s_b + s_w
-    return (out + out.T) / 2.0

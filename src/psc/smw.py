@@ -28,9 +28,7 @@ class SmwError(ValueError):
 @dataclass(frozen=True)
 class SmwOperator:
     factor: PopulationFactor
-    lam: float
     weights: np.ndarray  # (n+1,) lam / (1 - lam*s) on the factor's spectrum
-    d: int
 
 
 def lambda_cap(factor: PopulationFactor) -> float:
@@ -53,14 +51,14 @@ def build_operator(factor: PopulationFactor, lam: float) -> SmwOperator:
     margin = 1.0 - lam * factor.spectrum
     if margin.min() < 1e-12:
         raise SmwError("I - lambda*(beta*S_B + S_W) numerically singular; lambda too close to the cap")
-    return SmwOperator(factor=factor, lam=lam, weights=lam / margin, d=factor.d)
+    return SmwOperator(factor=factor, weights=lam / margin)
 
 
 def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
     """M @ V for V of shape (d,) or (d, k)."""
     V = np.asarray(V, dtype=np.float64)
-    if V.shape[0] != op.d:
-        raise SmwError(f"dimension mismatch: operator is {op.d}-dimensional, got {V.shape[0]}")
+    if V.shape[0] != op.factor.d:
+        raise SmwError(f"dimension mismatch: operator is {op.factor.d}-dimensional, got {V.shape[0]}")
     D, Q = op.factor.d_matrix, op.factor.basis
     weights = op.weights if V.ndim == 1 else op.weights[:, None]
     return V + D.T @ (Q @ (weights * (Q.T @ (D @ V))))
@@ -68,7 +66,7 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
     """Dual Gram matrix Y X M X^T Y, symmetrized, with a PSD guard."""
-    if data.d != op.d:
+    if data.d != op.factor.d:
         raise SmwError("operator was built for a different dimension")
     X = data.samples
     y = data.labels.astype(np.float64)

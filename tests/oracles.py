@@ -1,0 +1,70 @@
+"""Dense and exhaustive reference implementations the tests check the
+library against: the KKT gap of a dual point, a grid search over tiny box
+QPs, and the explicit d x d scatter matrix."""
+
+from itertools import product
+
+import numpy as np
+
+from psc.dataset import ClassStats, LabeledMatrix
+from psc.qp import BoxQP, DualSolution, QpError, objective
+from psc.scatter import beta
+
+
+def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:
+    """Max violating-pair gap at alpha; 0 at an exact optimum."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    y, upper = problem.y, problem.upper
+    grad = problem.G @ alpha - 1.0
+    score = -y * grad
+    up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
+    low_mask = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0.0))
+    if not up_mask.any() or not low_mask.any():
+        return 0.0
+    hi = score[up_mask].max()
+    lo = score[low_mask].min()
+    return max(float(hi - lo), 0.0)
+
+
+def brute_force_small(problem: BoxQP, grid_points: int = 201) -> DualSolution:
+    """Exhaustive grid oracle for n <= 4: free coordinates on a grid, the
+    first coordinate solved from the equality constraint."""
+    n = problem.n
+    if n > 4:
+        raise QpError("brute force oracle limited to n <= 4")
+    if grid_points > 401 or grid_points < 2:
+        raise QpError("grid_points must be in [2, 401]")
+    y, upper = problem.y, problem.upper
+    grids = [np.linspace(0.0, upper[i], grid_points) for i in range(1, n)]
+    slack = upper[0] * 1e-12
+    best_alpha = np.zeros(n)
+    best_obj = objective(problem, best_alpha)
+    for tail in product(*grids) if n > 1 else [()]:
+        tail = np.asarray(tail)
+        a0 = -y[0] * float(tail @ y[1:]) if n > 1 else 0.0
+        if a0 < -slack or a0 > upper[0] + slack:
+            continue
+        alpha = np.concatenate([[min(max(a0, 0.0), upper[0])], tail])
+        obj = objective(problem, alpha)
+        if obj > best_obj:
+            best_obj = obj
+            best_alpha = alpha
+    return DualSolution(
+        alpha=best_alpha,
+        objective=best_obj,
+        kkt_residual=kkt_violation(problem, best_alpha),
+        iterations=grid_points ** max(n - 1, 0),
+        converged=True,
+    )
+
+
+def dense_scatter(data: LabeledMatrix, stats: ClassStats) -> np.ndarray:
+    """Explicit d x d matrix beta*S_B + S_W, for small d."""
+    pos = data.labels == 1
+    Q1 = data.samples[pos] - stats.u1
+    Q2 = data.samples[~pos] - stats.u2
+    s_w = Q1.T @ Q1 / stats.n1 + Q2.T @ Q2 / stats.n2
+    diff = stats.u1 - stats.u2
+    s_b = np.outer(diff, diff)
+    out = beta(stats.n1, stats.n2) * s_b + s_w
+    return (out + out.T) / 2.0

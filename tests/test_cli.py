@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psc import metrics
+from psc import classifier, metrics
 from psc.classifier import Hyperparams
 from psc.cli import build_parser, main
 from psc.dataset import load_csv
@@ -29,13 +29,6 @@ class TestSimulate:
                    "--seed", 1, "--out", out) == 0
         data = load_csv(out, "label", {"1"})
         assert (data.n, data.d) == (70, 2)
-
-    def test_env_seed_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSC_SEED", "33")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("simulate", "--d", 5, "--n-pos", 4, "--n-neg", 3, "--out", a)
-        run("simulate", "--d", 5, "--n-pos", 4, "--n-neg", 3, "--seed", 33, "--out", b)
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestFitPredictEvaluate:
@@ -81,6 +74,17 @@ class TestFitPredictEvaluate:
         assert doc["bccr"] == pytest.approx(direct.bccr, abs=1e-12)
         assert doc["auc"] == pytest.approx(direct.auc, abs=1e-12)
 
+    def test_predict_uses_the_coordinates_fit_trained_in(self, tmp_path, train_test):
+        train, _ = train_test
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert run("fit", "--train", train, "--out", model) == 0
+        assert run("predict", "--model", model, "--data", train, "--out", preds) == 0
+        decisions = np.array([float(line.split(",")[1])
+                              for line in preds.read_text().splitlines()[1:]])
+        direct = classifier.decision(classifier.load_model(model),
+                                     load_csv(train, "label", {"1"}).samples)
+        assert decisions.tobytes() == direct.tobytes()
+
 
 class TestFlagDefaults:
     def test_fit_and_demo_defaults_are_hyperparams_defaults(self):
@@ -98,6 +102,21 @@ class TestFlagDefaults:
                  "--out", tmp_path / "m.json")
         assert rc == 1
         assert "gamma must be in" in capsys.readouterr().err
+
+
+def cv_with_config(tmp_path, name, doc, *flags):
+    """psc cv with doc as its config file; returns the exit code and out dir."""
+    data = tmp_path / "data.csv"
+    if not data.exists():
+        run("simulate", "--d", 15, "--n-pos", 12, "--n-neg", 8, "--seed", 5, "--out", data)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(doc))
+    rc = run("cv", "--data", data, "--config", cfg, *flags, "--out-dir", tmp_path / name)
+    return rc, tmp_path / name
+
+
+SMALL_CV = {"outer_folds": 2, "inner_folds": 2, "repeats": 1,
+            "gamma_grid": [0.5], "c0_grid": [1.0, 2.0]}
 
 
 class TestCv:
@@ -139,6 +158,26 @@ class TestCv:
         for path in reports:
             doc = json.loads(path.read_text())
             assert "pooled" in doc
+
+    def test_config_file_seed_applies_without_the_flag(self, tmp_path):
+        rc, from_file = cv_with_config(tmp_path, "file", {**SMALL_CV, "seed": 7})
+        assert rc == 0
+        rc, from_flag = cv_with_config(tmp_path, "flag", SMALL_CV, "--seed", 7)
+        assert rc == 0
+        summary = (from_file / "summary.json").read_bytes()
+        assert json.loads(summary)["seed"] == 7
+        assert summary == (from_flag / "summary.json").read_bytes()
+
+    def test_warns_when_an_outer_fold_model_did_not_converge(self, tmp_path, capsys):
+        rc, _ = cv_with_config(tmp_path, "default", SMALL_CV)
+        assert rc == 0
+        assert "warning" not in capsys.readouterr().err
+        rc, capped_dir = cv_with_config(tmp_path, "capped", {**SMALL_CV, "max_iter": 1})
+        assert rc == 0
+        assert "warning: dual solver did not reach tolerance in 2 outer-fold model(s)" \
+            in capsys.readouterr().err
+        folds = json.loads((capped_dir / "repeat_000.json").read_text())["folds"]
+        assert [fold["converged"] for fold in folds] == [False, False]
 
 
 class TestDemoFig1:
@@ -182,6 +221,18 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert "unknown config keys: repeat" in capsys.readouterr().err
         assert not (tmp_path / "cv").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"gamma_grid": 0.5}, "gamma_grid must be a list of numbers, got 0.5"),
+        ({"outer_folds": 2.5}, "outer_folds must be of type int, got 2.5"),
+        ({"repeats": "2"}, "repeats must be of type int, got '2'"),
+        ([1, 2], "a config file holds one JSON object"),
+    ])
+    def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, doc, message):
+        rc, out_dir = cv_with_config(tmp_path, "cv", doc)
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         files = {}

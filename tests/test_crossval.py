@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psc import classifier
+from psc import classifier, qp, smw
 from psc.classifier import FitError, Hyperparams
 from psc.crossval import (
     ConfigError,
@@ -14,6 +14,7 @@ from psc.crossval import (
     tune_and_fit,
 )
 from psc.dataset import LabeledMatrix, simulate_hdlss, stratified_kfold
+from psc.intercept import InterceptError
 from psc.metrics import evaluate
 
 
@@ -50,6 +51,12 @@ class TestConfig:
             ExperimentConfig(outer_folds=1)
         with pytest.raises(ConfigError):
             ExperimentConfig(repeats=0)
+        with pytest.raises(ConfigError, match="c0_grid must be a list of numbers"):
+            ExperimentConfig(c0_grid=(1.0, "2"))
+        with pytest.raises(ConfigError, match="seed must be of type int"):
+            ExperimentConfig(seed=True)
+        with pytest.raises(ConfigError, match="r_scale must be of type float"):
+            ExperimentConfig(r_scale=None)
 
     def test_fit_defaults_come_from_hyperparams(self):
         cfg, hp = ExperimentConfig(), Hyperparams()
@@ -108,6 +115,24 @@ class TestCvRun:
         with pytest.raises(FitError, match="repeat 0: every outer fold failed; "
                                            "fold 0: degenerate data"):
             cv_run(data, small_config(repeats=1))
+
+    @pytest.mark.parametrize("error", [FitError, smw.SmwError, qp.QpError, InterceptError])
+    def test_a_fit_failure_fails_the_cell(self, monkeypatch, error):
+        def failing_fit(train, hp, seed_provenance=None):
+            raise error("cannot fit")
+
+        monkeypatch.setattr(classifier, "fit_psc", failing_fit)
+        with pytest.raises(FitError, match="every outer fold failed; fold 0: cannot fit"):
+            cv_run(simulate_hdlss(20, 8, 6, seed=5), small_config(repeats=1))
+
+    def test_any_other_error_in_a_fit_propagates(self, monkeypatch):
+        def broken_fit(train, hp, seed_provenance=None):
+            raise ValueError("shapes (3,) and (4,) not aligned")
+
+        monkeypatch.setattr(classifier, "fit_psc", broken_fit)
+        with pytest.raises(ValueError, match="not aligned") as caught:
+            cv_run(simulate_hdlss(20, 8, 6, seed=5), small_config(repeats=1))
+        assert type(caught.value) is ValueError  # not a failed-repeat FitError
 
     def test_rmdd_has_no_grid(self):
         data = simulate_hdlss(20, 8, 6, seed=5)

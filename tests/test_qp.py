@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from psc.qp import (
-    BoxQP,
-    QpError,
-    brute_force_small,
-    kkt_violation,
-    objective,
-    solve_smo,
-)
+from psc.qp import BoxQP, QpError, objective, solve_smo
+from tests.oracles import brute_force_small, kkt_violation
 
 I2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
@@ -76,18 +70,13 @@ class TestSolveSmo:
         assert smo.kkt_residual <= 1e-6
 
     def test_objective_monotone(self):
-        from psc.qp import _smo_numpy
-
+        # a solve capped at k iterations returns the k-th iterate
         rng = np.random.default_rng(7)
         n = 12
         p = BoxQP(random_psd(n, rng), np.repeat([1.0, -1.0], n // 2),
                   rng.uniform(0.2, 2.0, n))
-        values = [objective(p, np.zeros(n))]
-
-        def record(alpha):
-            values.append(objective(p, alpha))
-
-        _smo_numpy(p.G, p.y, p.upper, 1e-6, 10**6, record)
+        steps = solve_smo(p, 1e-6).iterations
+        values = [objective(p, solve_smo(p, 1e-6, k).alpha) for k in range(steps + 1)]
         assert len(values) > 3
         diffs = np.diff(values)
         assert diffs.min() >= -1e-12

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss
-from psc.scatter import beta, build_factor, dense_scatter
+from psc.scatter import beta, build_factor
+from tests.oracles import dense_scatter
 
 
 def random_instance(seed, n_min=4, n_max=12, d_max=6):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from psc.dataset import LabeledMatrix, class_stats
-from psc.scatter import build_factor, dense_scatter
+from psc.scatter import build_factor
 from psc.smw import SmwError, apply_inverse, build_operator, gram, lambda_cap
+from tests.oracles import dense_scatter
 from tests.test_scatter import random_instance
 
 SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
