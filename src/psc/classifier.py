@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +32,17 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise FitError(f"gamma must be in (0,1), got {self.gamma}")
-        if self.c0 <= 0 or self.r_scale <= 0:
-            raise FitError("c0 and r_scale must be positive")
+        _check_settings(self.c0, self.r_scale, self.tol, self.max_iter)
+
+
+def _check_settings(c0: float, r_scale: float, tol: float, max_iter: int) -> None:
+    # written so that NaN fails each test
+    if not (c0 > 0 and r_scale > 0):
+        raise FitError(f"c0 and r_scale must be positive, got {c0} and {r_scale}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise FitError(f"tol must be finite and positive, got {tol}")
+    if not max_iter >= 1:
+        raise FitError(f"max_iter must be at least 1, got {max_iter}")
 
 
 @dataclass(frozen=True)
@@ -84,14 +94,11 @@ def _class_weights(y: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.where(y > 0, 1.0, n1 / n2)
 
 
-def _solve_dual(G: np.ndarray, y: np.ndarray, c0: float, tol: float, max_iter: int,
-                n1: int, n2: int):
-    caps = c0 * _class_weights(y, n1, n2)
-    problem = qp.BoxQP(G=G, y=y, upper=caps)
-    sol = qp.solve_smo(problem, tol=tol, max_iter=max_iter)
+def _solve_dual(G: np.ndarray, y: np.ndarray, caps: np.ndarray, tol: float, max_iter: int):
+    sol = qp.solve_smo(qp.BoxQP(G=G, y=y, upper=caps), tol=tol, max_iter=max_iter)
     if not np.any(sol.alpha):
         raise FitError("trivial dual: all multipliers are zero (c0 too small)")
-    return sol, caps
+    return sol
 
 
 def _intercept(proj: np.ndarray, labels: np.ndarray, r_scale: float) -> float:
@@ -101,35 +108,61 @@ def _intercept(proj: np.ndarray, labels: np.ndarray, r_scale: float) -> float:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """A training set with the work every psc fit on it shares: its class
-    statistics and its scatter factor with the factor's spectrum."""
+    """A training set with the work every fit on it shares: its class
+    statistics, its scatter factor with the factor's spectrum (built at the
+    first psc fit, so cssvm and rmdd never build it), and the c0 path memo.
+
+    The memo holds, per setting that fixes the dual's Gram, the fit at the
+    smallest c0 whose SMO solve left every cap unbound (``upper_active``
+    False). Any larger c0 would repeat that solve bit for bit, so a fit at
+    one is read from the memo instead."""
 
     data: LabeledMatrix
     stats: ClassStats
-    factor: PopulationFactor
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def factor(self) -> PopulationFactor:
+        return build_factor(self.data, self.stats)
+
+    def recall(self, key: tuple, c0: float):
+        """What a fit stored under key at a c0 no larger than this one, or
+        None. A fit stores only after a miss, so a stored c0 only falls,
+        and only on a set its caller prepared: one it made itself dies
+        with the call."""
+        hit = self.memo.get(key)
+        return hit[1] if hit is not None and c0 >= hit[0] else None
 
 
 def prepare(data: LabeledMatrix) -> TrainingSet:
-    stats = class_stats(data)
-    return TrainingSet(data=data, stats=stats, factor=build_factor(data, stats))
+    return TrainingSet(data=data, stats=class_stats(data))
+
+
+def _prepared(data: LabeledMatrix | TrainingSet) -> TrainingSet:
+    return data if isinstance(data, TrainingSet) else prepare(data)
 
 
 def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
             seed_provenance: str | None = None) -> LinearModel:
-    """Fit psc; a prepared TrainingSet shares its factor across many fits."""
-    train = data if isinstance(data, TrainingSet) else prepare(data)
-    data, stats, factor = train.data, train.stats, train.factor
-    cap = smw.lambda_cap(factor)
+    """Fit psc; a prepared TrainingSet shares its factor and its c0 path
+    across many fits."""
+    train, shared = _prepared(data), isinstance(data, TrainingSet)
+    key = ("psc", hp.gamma, hp.r_scale, hp.tol, hp.max_iter)
+    model = train.recall(key, hp.c0)
+    if model is not None:
+        return replace(model, w=model.w.copy(), c0=hp.c0, seed_provenance=seed_provenance)
+    data, stats = train.data, train.stats
+    cap = smw.lambda_cap(train.factor)
     if not math.isfinite(cap):
         raise FitError("degenerate data: scatter matrix is zero")
     lam = hp.gamma * cap
-    op = smw.build_operator(factor, lam)
+    op = smw.build_operator(train.factor, lam)
     G = smw.gram(op, data)
     y = data.labels.astype(np.float64)
-    sol, _ = _solve_dual(G, y, hp.c0, hp.tol, hp.max_iter, stats.n1, stats.n2)
+    sol = _solve_dual(G, y, hp.c0 * _class_weights(y, stats.n1, stats.n2), hp.tol, hp.max_iter)
     w = smw.apply_inverse(op, data.samples.T @ (data.labels * sol.alpha))
     b = _intercept(data.samples @ w, data.labels, hp.r_scale)
-    return LinearModel(
+    model = LinearModel(
         w=w,
         b=b,
         method_tag="psc",
@@ -143,26 +176,40 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
         kkt_residual=sol.kkt_residual,
         seed_provenance=seed_provenance,
     )
+    if shared and not sol.upper_active:  # the memo and each fit it serves own their w
+        train.memo[key] = (hp.c0, replace(model, w=w.copy()))
+    return model
 
 
 def fit_cssvm(
-    data: LabeledMatrix,
+    data: LabeledMatrix | TrainingSet,
     c0: float = Hyperparams.c0,
     tol: float = qp.DEFAULT_TOL,
     max_iter: int = qp.DEFAULT_MAX_ITER,
     r_scale: float = intercept.DEFAULT_R,
     seed_provenance: str | None = None,
 ) -> LinearModel:
-    """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram)."""
-    if c0 <= 0 or r_scale <= 0:
-        raise FitError("c0 and r_scale must be positive")
-    stats = class_stats(data)
+    """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram).
+    Its Gram has no c0, so a prepared TrainingSet shares one dual solve
+    across the c0 path; the intercept depends on the caps and is set anew."""
+    _check_settings(c0, r_scale, tol, max_iter)
+    train, shared = _prepared(data), isinstance(data, TrainingSet)
+    data, stats = train.data, train.stats
     y = data.labels.astype(np.float64)
-    G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
-    G = (G + G.T) / 2.0
-    sol, caps = _solve_dual(G, y, c0, tol, max_iter, stats.n1, stats.n2)
-    w = data.samples.T @ (y * sol.alpha)
-    proj = data.samples @ w
+    caps = c0 * _class_weights(y, stats.n1, stats.n2)
+    key = ("cssvm", tol, max_iter)
+    hit = train.recall(key, c0)
+    if hit is not None:
+        sol, w, proj = hit
+        w = w.copy()
+    else:
+        G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
+        G = (G + G.T) / 2.0
+        sol = _solve_dual(G, y, caps, tol, max_iter)
+        w = data.samples.T @ (y * sol.alpha)
+        proj = data.samples @ w
+        if shared and not sol.upper_active:
+            train.memo[key] = (c0, (sol, w.copy(), proj))
     eps = 1e-8 * caps.max()
     free = (sol.alpha > eps) & (sol.alpha < caps - eps)
     if free.any():
@@ -184,12 +231,13 @@ def fit_cssvm(
 
 
 def fit_rmdd(
-    data: LabeledMatrix,
+    data: LabeledMatrix | TrainingSet,
     r_scale: float = intercept.DEFAULT_R,
     seed_provenance: str | None = None,
 ) -> LinearModel:
     """Unit-norm class-mean difference direction with the adaptive intercept."""
-    stats = class_stats(data)
+    train = _prepared(data)
+    data, stats = train.data, train.stats
     diff = stats.u1 - stats.u2
     norm = float(np.linalg.norm(diff))
     if norm == 0.0:
@@ -214,7 +262,8 @@ def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams,
         seed_provenance: str | None = None) -> LinearModel:
     """Fit one of METHODS with the settings in hp. psc reads all of them,
     cssvm reads c0, tol, max_iter and r_scale, and rmdd reads only r_scale.
-    Only psc takes a prepared TrainingSet."""
+    data may be a prepared TrainingSet, which psc and cssvm fits on it share
+    (see TrainingSet)."""
     if method == "psc":
         return fit_psc(data, hp, seed_provenance=seed_provenance)
     if method == "cssvm":

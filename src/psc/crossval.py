@@ -75,9 +75,13 @@ class ExperimentConfig:
 
 
 def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:
-    # rmdd has no tunables; cssvm ignores gamma
+    # rmdd has no tunables; cssvm ignores gamma. c0 ascends, so that each
+    # (training set, gamma) solves first at the c0 whose solve the larger
+    # ones can reuse (classifier.TrainingSet), however the config lists it.
     gammas = config.gamma_grid if config.method == "psc" else config.gamma_grid[:1]
-    c0s = config.c0_grid[:1] if config.method == "rmdd" else config.c0_grid
+    c0s = sorted(config.c0_grid)
+    if config.method == "rmdd":
+        c0s = c0s[:1]
     return [config.hyperparams(g, c0) for g in gammas for c0 in c0s]
 
 
@@ -92,11 +96,9 @@ def _score(report: EvalReport, metric: str) -> float:
 def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
                       scores: dict, config: ExperimentConfig) -> None:
     """Fit every cell still in scores on one inner fold and append its
-    validation score. For psc the fold's training set is prepared once for
-    all cells and dropped on return; a cell whose fit fails leaves scores."""
-    sub = LabeledMatrix(train.samples[tr], train.labels[tr])
-    if config.method == "psc":
-        sub = classifier.prepare(sub)
+    validation score. The fold's training set is prepared once for all
+    cells and dropped on return; a cell whose fit fails leaves scores."""
+    sub = classifier.prepare(LabeledMatrix(train.samples[tr], train.labels[tr]))
     for hp in list(scores):
         try:
             model = classifier.fit(config.method, sub, hp)

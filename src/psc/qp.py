@@ -59,6 +59,9 @@ class DualSolution:
     kkt_residual: float
     iterations: int
     converged: bool
+    # whether a cap could have shaped the solve (see solve_smo); a solution
+    # that does not say is taken to be capped
+    upper_active: bool = True
 
 
 def objective(problem: BoxQP, alpha: np.ndarray) -> float:
@@ -71,14 +74,22 @@ def solve_smo(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DualSolution:
     """Maximal-violating-pair ascent from alpha = 0. A solve capped at
-    max_iter returns its max_iter-th iterate."""
-    if tol <= 0:
+    max_iter returns its max_iter-th iterate.
+
+    The caps enter the loop only through the upper-side rooms, the
+    ``alpha < upper`` masks and the clamp. ``upper_active`` is set when an
+    upper-side room bounds a step or a coordinate reaches its cap. A solve
+    that leaves it clear takes the same steps under any caps at least as
+    large elementwise, since float rounding is monotone, and so returns the
+    same alpha, iterations and gap bit for bit."""
+    if not tol > 0:
         raise QpError("tol must be positive")
     G, y, upper = problem.G, problem.y, problem.upper
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = -np.ones(n)
     it = 0
+    upper_active = False
     while True:
         score = -y * grad
         up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
@@ -100,10 +111,14 @@ def solve_smo(
             step = min(gap / quad, room_i, room_j)
         else:
             step = min(room_i, room_j)
+        if (y[i] > 0 and room_i <= step) or (y[j] < 0 and room_j <= step):
+            upper_active = True
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
         alpha[i] = min(max(alpha[i], 0.0), upper[i])
         alpha[j] = min(max(alpha[j], 0.0), upper[j])
+        if alpha[i] == upper[i] or alpha[j] == upper[j]:
+            upper_active = True
         grad += step * (y[i] * G[:, i] - y[j] * G[:, j])
         it += 1
     gap = max(float(gap), 0.0)
@@ -113,4 +128,5 @@ def solve_smo(
         kkt_residual=gap,
         iterations=it,
         converged=gap <= tol,
+        upper_active=upper_active,
     )

@@ -16,6 +16,7 @@ from psc.classifier import (
     prepare,
     save_model,
 )
+from psc.crossval import DEFAULT_C0_GRID, DEFAULT_GAMMA_GRID, ExperimentConfig, _candidate_grid
 from psc.dataset import FIG1_MU, FIG1_SIGMA, LabeledMatrix, simulate_hdlss
 
 HP = Hyperparams(gamma=0.5, c0=1.0)
@@ -40,6 +41,26 @@ class TestHyperparams:
             Hyperparams(gamma=0.5, c0=0.0)
         with pytest.raises(FitError):
             Hyperparams(gamma=0.5, c0=1.0, r_scale=-1.0)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"c0": float("nan")}, "c0 and r_scale must be positive"),
+        ({"r_scale": float("nan")}, "c0 and r_scale must be positive"),
+        ({"tol": float("nan")}, "tol must be finite and positive"),
+        ({"tol": float("inf")}, "tol must be finite and positive"),
+        ({"tol": 0.0}, "tol must be finite and positive"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"max_iter": -5}, "max_iter must be at least 1"),
+    ])
+    def test_rejects_settings_that_would_fail_late(self, setting, message):
+        with pytest.raises(FitError, match=message):
+            Hyperparams(**setting)
+        if "gamma" not in setting:
+            cssvm_setting = {"c0": 1.0, "r_scale": 1.0, "tol": 1e-6, "max_iter": 10, **setting}
+            with pytest.raises(FitError, match=message):
+                fit_cssvm(separable_instance(2), **cssvm_setting)
+
+    def test_one_iteration_is_a_valid_cap(self):
+        assert Hyperparams(max_iter=1).max_iter == 1
 
 
 class TestFitPsc:
@@ -103,6 +124,73 @@ class TestPreparedTrainingSet:
             shared, raw = fit_psc(train, hp), fit_psc(data, hp)
             assert np.array_equal(shared.w, raw.w)
             assert (shared.b, shared.lam, shared.kkt_residual) == (raw.b, raw.lam, raw.kkt_residual)
+
+
+def count_solves(monkeypatch):
+    """Record every SMO solve the classifier makes."""
+    solves = []
+    real = classifier.qp.solve_smo
+
+    def counting(problem, tol, max_iter):
+        solves.append(real(problem, tol, max_iter))
+        return solves[-1]
+
+    monkeypatch.setattr(classifier.qp, "solve_smo", counting)
+    return solves
+
+
+class TestCPathReuse:
+    """A prepared training set serves a fit at c0 from the solve of an
+    earlier fit at a smaller c0 whose caps never bound. Every cell must
+    equal a fresh fit on the raw matrix, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    @pytest.mark.parametrize("shape, solves_per_path", [
+        ((300, 20, 8, 12), 1),  # HDLSS: the caps never bind on the default grid
+        ((20, 40, 20, 3), 3),   # d < n: the caps bind at c0 = 2^-5 and 2^-3
+    ])
+    def test_every_default_grid_cell_matches_a_fresh_fit(self, monkeypatch, method, shape,
+                                                         solves_per_path):
+        data = simulate_hdlss(*shape)
+        cells = _candidate_grid(ExperimentConfig(method=method))  # c0 ascending per gamma
+        solves = count_solves(monkeypatch)
+        train = prepare(data)
+        shared = {hp: classifier.fit(method, train, hp) for hp in cells}
+        paths = len(DEFAULT_GAMMA_GRID) if method == "psc" else 1  # cssvm ignores gamma
+        assert len(cells) == paths * len(DEFAULT_C0_GRID)
+        assert len(solves) == paths * solves_per_path
+        assert sum(s.upper_active for s in solves) == paths * (solves_per_path - 1)
+        train = prepare(data)
+        order = np.random.default_rng(0).permutation(len(cells))
+        shuffled = {cells[k]: classifier.fit(method, train, cells[k]) for k in order}
+        for hp in cells:
+            fresh = classifier.fit(method, data, hp)
+            for got in (shared[hp], shuffled[hp]):
+                assert got.w.tobytes() == fresh.w.tobytes()
+                assert (got.b, got.lam, got.converged, got.kkt_residual) == (
+                    fresh.b, fresh.lam, fresh.converged, fresh.kkt_residual)
+                assert model_to_dict(got) == model_to_dict(fresh)
+
+    def test_settings_outside_the_key_are_not_shared(self, monkeypatch):
+        data = simulate_hdlss(300, 20, 8, seed=12)
+        train = prepare(data)
+        solves = count_solves(monkeypatch)
+        for r_scale in (1.0, 2.0):  # psc keeps b, so r_scale is in its key
+            for c0 in (1.0, 2.0):
+                fit_psc(train, Hyperparams(gamma=0.5, c0=c0, r_scale=r_scale))
+        assert len(solves) == 2
+        models = [fit_cssvm(train, c0=1.0, r_scale=r_scale) for r_scale in (1.0, 2.0)]
+        assert len(solves) == 3  # cssvm sets b anew at every fit
+        for model, r_scale in zip(models, (1.0, 2.0)):
+            fresh = fit_cssvm(data, c0=1.0, r_scale=r_scale)
+            assert (model.w.tobytes(), model.b) == (fresh.w.tobytes(), fresh.b)
+
+    def test_cssvm_on_a_prepared_set_builds_no_scatter_factor(self, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("cssvm built the scatter factor")
+
+        monkeypatch.setattr(classifier, "build_factor", no_factor)
+        fit_cssvm(prepare(separable_instance(4)), c0=1.0)
 
 
 class TestFitDispatch:

@@ -227,12 +227,40 @@ class TestErrorsAndDeterminism:
         ({"outer_folds": 2.5}, "outer_folds must be of type int, got 2.5"),
         ({"repeats": "2"}, "repeats must be of type int, got '2'"),
         ([1, 2], "a config file holds one JSON object"),
+        ({"tol": float("nan")}, "tol must be finite and positive, got nan"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"c0_grid": [float("nan")]}, "c0 and r_scale must be positive, got nan"),
     ])
     def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, doc, message):
         rc, out_dir = cv_with_config(tmp_path, "cv", doc)
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_c0_grid_order_changes_neither_artifacts_nor_solves(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        run("simulate", "--d", 150, "--n-pos", 10, "--n-neg", 14, "--seed", 3, "--out", data)
+        grid = [0.03125, 0.125, 0.5, 2.0, 8.0]
+        solves = []
+        real = classifier.qp.solve_smo
+
+        def counting(problem, tol, max_iter):
+            solves.append(problem.n)
+            return real(problem, tol, max_iter)
+
+        monkeypatch.setattr(classifier.qp, "solve_smo", counting)
+        outputs, counts = [], []
+        for name, c0s in (("up", grid), ("down", grid[::-1])):
+            solves.clear()
+            assert run("cv", "--data", data, "--repeats", 1, "--outer-folds", 3,
+                       "--inner-folds", 3, "--gamma-grid", "0.3,0.7",
+                       "--c0-grid", ",".join(map(str, c0s)), "--seed", 2,
+                       "--out-dir", tmp_path / name) == 0
+            counts.append(len(solves))
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("summary.json", "repeat_000.json")])
+        assert outputs[0] == outputs[1]
+        assert counts[0] == counts[1] < 3 * (3 * 2 * len(grid) + 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         files = {}

@@ -74,6 +74,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="positive"):
             ExperimentConfig(method="rmdd", r_scale=-1.0)
 
+    @pytest.mark.parametrize("setting", [
+        {"tol": float("nan")}, {"tol": 0.0}, {"max_iter": 0}, {"r_scale": float("nan")},
+        {"c0_grid": (1.0, float("nan"))},
+    ])
+    def test_rejects_solver_settings_hyperparams_rejects(self, setting):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**setting)
+
 
 class TestCvRun:
     def test_trivial_separable_perfect(self):
@@ -143,6 +151,36 @@ class TestCvRun:
         data = simulate_hdlss(20, 8, 6, seed=6)
         out = cv_run(data, small_config(method="cssvm", repeats=1))
         assert 0.0 <= out["summary"]["pooled"]["bccr"] <= 1.0
+
+
+class TestSolveCount:
+    """Every grid cell is still a classifier.fit call, but on a training set
+    whose caps never bind at the smallest c0 there is one SMO solve per
+    (training set, gamma): the c0 path reuses it (classifier.TrainingSet)."""
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    def test_one_solve_per_training_set_and_gamma(self, monkeypatch, method):
+        data = simulate_hdlss(200, 12, 18, seed=1)
+        config = ExperimentConfig(method=method, outer_folds=3, inner_folds=3, repeats=1, seed=1)
+        fits, solves = [], []
+        real_fit, real_solve = classifier.fit, qp.solve_smo
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[0])
+            return real_fit(*args, **kwargs)
+
+        def counting_solve(problem, tol, max_iter):
+            solves.append(real_solve(problem, tol, max_iter))
+            return solves[-1]
+
+        monkeypatch.setattr(classifier, "fit", counting_fit)
+        monkeypatch.setattr(classifier.qp, "solve_smo", counting_solve)
+        cv_run(data, config)
+        gammas = len(config.gamma_grid) if method == "psc" else 1
+        cells = gammas * len(config.c0_grid)
+        assert len(fits) == config.outer_folds * (config.inner_folds * cells + 1)
+        assert not any(s.upper_active for s in solves)  # the shape this count needs
+        assert len(solves) == config.outer_folds * (config.inner_folds * gammas + 1)
 
 
 class TestTuneAndFit:

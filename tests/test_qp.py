@@ -22,6 +22,23 @@ def random_small_problem(seed, n=3):
     return BoxQP(g, y, upper)
 
 
+def separable_wide_problem(seed, n=10, d=200):
+    """The dual of separable HDLSS data: its multipliers are of order 1/d,
+    far below caps in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    y = np.array([1.0] * (n // 2) + [-1.0] * (n - n // 2))
+    rng.shuffle(y)
+    x = rng.standard_normal((n, d)) + 0.3 * y[:, None]
+    g = y[:, None] * (x @ x.T) * y[None, :]
+    return BoxQP((g + g.T) / 2.0, y, rng.uniform(0.5, 2.0, n)), rng
+
+
+def assert_same_solve(a, b):
+    assert np.array_equal(a.alpha, b.alpha)
+    assert (a.iterations, a.kkt_residual, a.objective, a.converged) == (
+        b.iterations, b.kkt_residual, b.objective, b.converged)
+
+
 class TestBoxQP:
     def test_rejects_asymmetric(self):
         with pytest.raises(QpError, match="symmetric"):
@@ -102,6 +119,46 @@ class TestSolveSmo:
         g = np.zeros((2, 2))
         sol = solve_smo(BoxQP(g, Y2, [1.0, 0.25]))
         assert np.allclose(sol.alpha, [0.25, 0.25], atol=1e-12)
+
+
+class TestUpperActive:
+    def test_analytic(self):
+        assert solve_smo(BoxQP(I2, Y2, [0.5, 0.5])).upper_active  # clipped at the caps
+        assert not solve_smo(BoxQP(I2, Y2, [2.0, 2.0])).upper_active  # interior optimum
+
+    def test_an_unbound_solve_repeats_bit_for_bit_under_larger_caps(self):
+        for seed in range(10):
+            p, rng = separable_wide_problem(seed)
+            sol = solve_smo(p)
+            assert not sol.upper_active
+            for larger in (2.0 * p.upper, p.upper + rng.uniform(0.0, 5.0, p.n)):
+                assert_same_solve(sol, solve_smo(BoxQP(p.G, p.y, larger)))
+
+    def test_binding_caps_report_it(self):
+        for seed in range(10):
+            p, _ = separable_wide_problem(seed)
+            tight = BoxQP(p.G, p.y, 1e-3 * p.upper)
+            sol = solve_smo(tight)
+            assert sol.upper_active
+            # the flag matters: the larger caps give another solve
+            assert not np.array_equal(sol.alpha, solve_smo(BoxQP(p.G, p.y, 4e-3 * p.upper)).alpha)
+
+    def test_caps_near_the_largest_free_multiplier(self):
+        # a cap equal to the free solve's largest multiplier is reached, one
+        # below it binds, and whenever the flag is clear the solve is the
+        # free one, down to caps one rounding step above that multiplier
+        problems = [separable_wide_problem(seed)[0] for seed in range(10)]
+        problems += [random_small_problem(seed, n=4) for seed in range(25)]
+        for p in problems:
+            free = solve_smo(BoxQP(p.G, p.y, np.full(p.n, 1e6)))
+            assert not free.upper_active
+            top = free.alpha.max()
+            for scale in (0.5, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.5, 10.0):
+                sol = solve_smo(BoxQP(p.G, p.y, np.full(p.n, scale * top)))
+                if scale <= 1.0:
+                    assert sol.upper_active
+                if not sol.upper_active:
+                    assert_same_solve(sol, free)
 
 
 class TestBruteForce:
