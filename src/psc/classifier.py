@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import intercept, qp, smw
-from .dataset import ClassStats, LabeledMatrix, class_stats
+from .dataset import ClassStats, LabeledMatrix, _freeze, class_stats
 from .intercept import Projections, choose_intercept
 from .scatter import PopulationFactor, build_factor
 
@@ -47,6 +47,9 @@ def _check_settings(c0: float, r_scale: float, tol: float, max_iter: int) -> Non
 
 @dataclass(frozen=True)
 class LinearModel:
+    """A fitted linear rule. Its w is a read-only view, so a fit can hand the
+    same model to many callers; an array passed in stays writable."""
+
     w: np.ndarray
     b: float
     method_tag: str
@@ -66,7 +69,7 @@ class LinearModel:
             raise FitError("direction vector has non-finite entries")
         if not np.any(w):
             raise FitError("direction vector is all-zero")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _freeze(w))  # ravel gave the model its own view
 
     @property
     def d(self) -> int:
@@ -127,9 +130,7 @@ class TrainingSet:
 
     def recall(self, key: tuple, c0: float):
         """What a fit stored under key at a c0 no larger than this one, or
-        None. A fit stores only after a miss, so a stored c0 only falls,
-        and only on a set its caller prepared: one it made itself dies
-        with the call."""
+        None. A fit stores only after a miss, so a stored c0 only falls."""
         hit = self.memo.get(key)
         return hit[1] if hit is not None and c0 >= hit[0] else None
 
@@ -146,11 +147,11 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
             seed_provenance: str | None = None) -> LinearModel:
     """Fit psc; a prepared TrainingSet shares its factor and its c0 path
     across many fits."""
-    train, shared = _prepared(data), isinstance(data, TrainingSet)
+    train = _prepared(data)
     key = ("psc", hp.gamma, hp.r_scale, hp.tol, hp.max_iter)
     model = train.recall(key, hp.c0)
     if model is not None:
-        return replace(model, w=model.w.copy(), c0=hp.c0, seed_provenance=seed_provenance)
+        return replace(model, c0=hp.c0, seed_provenance=seed_provenance)
     data, stats = train.data, train.stats
     cap = smw.lambda_cap(train.factor)
     if not math.isfinite(cap):
@@ -176,8 +177,8 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
         kkt_residual=sol.kkt_residual,
         seed_provenance=seed_provenance,
     )
-    if shared and not sol.upper_active:  # the memo and each fit it serves own their w
-        train.memo[key] = (hp.c0, replace(model, w=w.copy()))
+    if not sol.upper_active:
+        train.memo[key] = (hp.c0, model)
     return model
 
 
@@ -193,7 +194,7 @@ def fit_cssvm(
     Its Gram has no c0, so a prepared TrainingSet shares one dual solve
     across the c0 path; the intercept depends on the caps and is set anew."""
     _check_settings(c0, r_scale, tol, max_iter)
-    train, shared = _prepared(data), isinstance(data, TrainingSet)
+    train = _prepared(data)
     data, stats = train.data, train.stats
     y = data.labels.astype(np.float64)
     caps = c0 * _class_weights(y, stats.n1, stats.n2)
@@ -201,15 +202,14 @@ def fit_cssvm(
     hit = train.recall(key, c0)
     if hit is not None:
         sol, w, proj = hit
-        w = w.copy()
     else:
         G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
         G = (G + G.T) / 2.0
         sol = _solve_dual(G, y, caps, tol, max_iter)
         w = data.samples.T @ (y * sol.alpha)
         proj = data.samples @ w
-        if shared and not sol.upper_active:
-            train.memo[key] = (c0, (sol, w.copy(), proj))
+        if not sol.upper_active:
+            train.memo[key] = (c0, (sol, w, proj))
     eps = 1e-8 * caps.max()
     free = (sol.alpha > eps) & (sol.alpha < caps - eps)
     if free.any():
@@ -289,21 +289,9 @@ def bayes_oracle(mu_pos: np.ndarray, mu_neg: np.ndarray, sigma: np.ndarray) -> L
 
 
 def model_to_dict(model: LinearModel) -> dict:
-    return {
-        "method_tag": model.method_tag,
-        "d": model.d,
-        "w": model.w.tolist(),
-        "b": model.b,
-        "n1": model.n1,
-        "n2": model.n2,
-        "gamma": model.gamma,
-        "lambda": model.lam,
-        "c0": model.c0,
-        "r_scale": model.r_scale,
-        "converged": model.converged,
-        "kkt_residual": model.kkt_residual,
-        "seed_provenance": model.seed_provenance,
-    }
+    doc = {f.name: getattr(model, f.name) for f in fields(model)}
+    doc["lambda"] = doc.pop("lam")
+    return doc | {"w": model.w.tolist(), "d": model.d}
 
 
 def save_model(model: LinearModel, path) -> None:

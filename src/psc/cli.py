@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def cmd_evaluate(args) -> int:
         decisions = np.array([float(row["decision"]) for row in reader])
     truth = _load(args.truth, args.label_column, args.positive)
     report = metrics.evaluate(truth.labels, decisions)
-    metrics.save_report(report, args.out)
+    _write_json(dataclasses.asdict(report), args.out)
     if args.roc_out and report.roc is not None:
         metrics.save_roc_csv(report, args.roc_out)
     print(f"bccr={report.bccr:.6f} total_ccr={report.total_ccr:.6f} auc={report.auc}")

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import classifier, intercept, qp, smw
 from .classifier import Hyperparams, LinearModel
 from .dataset import DatasetError, LabeledMatrix, stratified_kfold
-from .metrics import EvalReport, evaluate, report_to_dict
+from .metrics import EvalReport, evaluate
 
 DEFAULT_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_C0_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5)
@@ -135,8 +135,7 @@ def tune_and_fit(
             key = (-float(np.mean(cell_scores)), hp.c0, hp.gamma)  # ties: smaller c0, then gamma
             if best_key is None or key < best_key:
                 best_key, best = key, hp
-    model = classifier.fit(config.method, train, best,
-                           seed_provenance=f"seed={config.seed},fold_seed={fold_seed}")
+    model = classifier.fit(config.method, train, best)
     return model, (best.gamma, best.c0)
 
 
@@ -168,7 +167,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
                 "gamma": gamma,
                 "c0": c0,
                 "converged": model.converged,
-                "report": report_to_dict(report),
+                "report": asdict(report),
             })
             rep_labels.append(labels[test_idx])
             rep_decisions.append(dec)
@@ -179,7 +178,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
         repeats_out.append({
             "repeat": rep,
             "folds": fold_reports,
-            "pooled": report_to_dict(pooled),
+            "pooled": asdict(pooled),
         })
         per_repeat_scores["bccr"].append(pooled.bccr)
         per_repeat_scores["total_ccr"].append(pooled.total_ccr)
@@ -194,7 +193,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
         "inner_folds": config.inner_folds,
         "selection_metric": config.selection_metric,
         "seed": config.seed,
-        "pooled": report_to_dict(grand),
+        "pooled": asdict(grand),
         "per_repeat_mean": {k: float(np.mean(v)) for k, v in per_repeat_scores.items()},
         "per_repeat_std": {k: float(np.std(v)) for k, v in per_repeat_scores.items()},
     }

@@ -4,7 +4,6 @@ disparity-penalized balanced rate (BCCR), ROC curve and AUC."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -140,30 +139,6 @@ def evaluate(labels, decisions) -> EvalReport:
         roc=None,
         auc=None,
     )
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "confusion": {
-            "tp": report.confusion.tp,
-            "fn": report.confusion.fn,
-            "fp": report.confusion.fp,
-            "tn": report.confusion.tn,
-        },
-        "ccr1": report.ccr1,
-        "ccr2": report.ccr2,
-        "total_ccr": report.total_ccr,
-        "mwe": report.mwe,
-        "bccr": report.bccr,
-        "auc": report.auc,
-        "roc": report.roc,
-    }
-
-
-def save_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def save_roc_csv(report: EvalReport, path) -> None:

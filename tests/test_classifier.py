@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from psc import classifier
+from psc import classifier, intercept
 from psc.classifier import (
     FitError,
     Hyperparams,
+    LinearModel,
     bayes_oracle,
     decision,
     fit_cssvm,
@@ -18,6 +19,7 @@ from psc.classifier import (
 )
 from psc.crossval import DEFAULT_C0_GRID, DEFAULT_GAMMA_GRID, ExperimentConfig, _candidate_grid
 from psc.dataset import FIG1_MU, FIG1_SIGMA, LabeledMatrix, simulate_hdlss
+from psc.intercept import Projections, choose_intercept
 
 HP = Hyperparams(gamma=0.5, c0=1.0)
 
@@ -185,12 +187,37 @@ class TestCPathReuse:
             fresh = fit_cssvm(data, c0=1.0, r_scale=r_scale)
             assert (model.w.tobytes(), model.b) == (fresh.w.tobytes(), fresh.b)
 
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    def test_the_memo_serves_the_stored_read_only_w_without_a_copy(self, monkeypatch, method):
+        train = prepare(simulate_hdlss(300, 20, 8, seed=12))
+        solves = count_solves(monkeypatch)
+        stored = classifier.fit(method, train, Hyperparams(c0=1.0))
+        served = classifier.fit(method, train, Hyperparams(c0=2.0))
+        assert len(solves) == 1 and served.c0 == 2.0
+        assert np.shares_memory(served.w, stored.w)
+        assert not served.w.flags.writeable
+
     def test_cssvm_on_a_prepared_set_builds_no_scatter_factor(self, monkeypatch):
         def no_factor(*args):
             raise AssertionError("cssvm built the scatter factor")
 
         monkeypatch.setattr(classifier, "build_factor", no_factor)
         fit_cssvm(prepare(separable_instance(4)), c0=1.0)
+
+
+class TestCssvmIntercept:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_without_a_free_support_vector_b_is_the_adaptive_intercept(self, monkeypatch, seed):
+        data = simulate_hdlss(5, 20, 20, seed)
+        solves = count_solves(monkeypatch)
+        for given in (data, prepare(data)):
+            model = fit_cssvm(given, c0=1e-3)
+            assert np.array_equal(solves[-1].alpha, np.full(data.n, 1e-3))  # every one at its cap
+            proj = data.samples @ model.w
+            labels = data.labels
+            want = choose_intercept(Projections(pos=proj[labels == 1], neg=proj[labels == -1]),
+                                    intercept.DEFAULT_R)
+            assert model.b == want
 
 
 class TestFitDispatch:
@@ -213,6 +240,28 @@ class TestFitDispatch:
     def test_unknown_method(self):
         with pytest.raises(FitError, match="unknown method"):
             classifier.fit("dwd", separable_instance(3), HP)
+
+
+class TestReadOnlyModel:
+    @pytest.mark.parametrize("method", classifier.METHODS)
+    def test_a_fitted_w_is_read_only(self, method):
+        model = classifier.fit(method, simulate_hdlss(30, 12, 6, seed=4), HP)
+        assert not model.w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.w[0] = 0.0
+
+    def test_an_array_passed_in_stays_writable(self):
+        w = np.array([1.0, -2.0])
+        model = LinearModel(w=w, b=0.0, method_tag="rmdd")
+        assert w.flags.writeable and not model.w.flags.writeable
+
+    @pytest.mark.parametrize("w, message", [
+        ([1.0, np.nan], "non-finite"),
+        ([0.0, 0.0], "all-zero"),
+    ])
+    def test_rejects_a_direction_it_cannot_use(self, w, message):
+        with pytest.raises(FitError, match=message):
+            LinearModel(w=np.array(w), b=0.0, method_tag="rmdd")
 
 
 class TestDecision:

@@ -58,6 +58,12 @@ class TestFitPredictEvaluate:
         first = roc.read_text().splitlines()[0]
         assert first == "fpr,tpr"
 
+    def test_fit_warns_when_the_dual_solver_did_not_converge(self, tmp_path, capsys, train_test):
+        model = tmp_path / "model.json"
+        assert run("fit", "--train", train_test[0], "--max-iter", 1, "--out", model) == 0
+        assert json.loads(model.read_text())["converged"] is False
+        assert "warning: dual solver did not reach tolerance" in capsys.readouterr().err
+
     def test_evaluate_matches_library(self, tmp_path, train_test):
         train, test = train_test
         model = tmp_path / "model.json"

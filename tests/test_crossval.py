@@ -9,6 +9,7 @@ from psc.crossval import (
     ConfigError,
     DEFAULT_C0_GRID,
     DEFAULT_GAMMA_GRID,
+    SELECTION_METRICS,
     ExperimentConfig,
     cv_run,
     tune_and_fit,
@@ -211,6 +212,8 @@ class TestTuneAndFit:
 def cell_by_cell_choice(train, config, fold_seed):
     """The grid search written cell-outer: each cell fitted on every inner
     fold in turn and dropped at its first failure."""
+    score = {"bccr": lambda rep: rep.bccr, "total_ccr": lambda rep: rep.total_ccr,
+             "mwe": lambda rep: 1.0 - rep.mwe}[config.selection_metric]
     inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
     best_key, best = None, None
     for gamma in config.gamma_grid:
@@ -226,7 +229,7 @@ def cell_by_cell_choice(train, config, fold_seed):
                     scores = None
                     break
                 dec = train.samples[va] @ model.w + model.b
-                scores.append(evaluate(train.labels[va], dec).bccr)
+                scores.append(score(evaluate(train.labels[va], dec)))
             if scores is None:
                 continue
             key = (-float(np.mean(scores)), c0, gamma)
@@ -266,3 +269,11 @@ class TestFoldOuterGrid:
         expected = cell_by_cell_choice(data, config, fold_seed)
         assert calls.count(winner) == 2
         assert chosen == expected != winner
+
+    @pytest.mark.parametrize("metric", SELECTION_METRICS)
+    def test_every_selection_metric_picks_the_cell_outer_choice(self, metric):
+        data = simulate_hdlss(40, 16, 24, seed=9)
+        config = small_config(gamma_grid=(0.1, 0.5, 0.9), c0_grid=(2.0**-3, 2.0, 2.0**3),
+                              inner_folds=4, selection_metric=metric)
+        _, winner = tune_and_fit(data.samples, data.labels, np.arange(data.n), config, 17)
+        assert winner == cell_by_cell_choice(data, config, 17)

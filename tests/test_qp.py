@@ -65,6 +65,11 @@ class TestSolveSmo:
         assert np.allclose(sol.alpha, [1.0, 1.0], atol=1e-8)
         assert sol.objective == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_class_exits_through_the_empty_working_set(self):
+        sol = solve_smo(BoxQP(I2, [1.0, 1.0], [1.0, 1.0]))
+        assert np.array_equal(sol.alpha, [0.0, 0.0])
+        assert sol.converged and sol.kkt_residual == 0.0 and sol.iterations == 0
+
     def test_tiny_caps(self):
         eps = 1e-6
         sol = solve_smo(BoxQP(I2, Y2, [eps, eps]))

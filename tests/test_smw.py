@@ -60,6 +60,11 @@ class TestBuildOperator:
         with pytest.raises(SmwError, match="lambda"):
             build_operator(f, 1.0)
 
+    def test_lambda_just_below_the_cap_is_numerically_singular(self):
+        f = scalar_factor()
+        with pytest.raises(SmwError, match="numerically singular"):
+            build_operator(f, lambda_cap(f) * (1.0 - 1e-14))
+
     def test_tiny_lambda_is_identity(self):
         data = random_instance(11)
         f = build_factor(data, class_stats(data))
@@ -139,3 +144,8 @@ class TestGram:
         g = gram(op, data)
         assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() >= -1e-8 * max(np.linalg.norm(g), 1.0)
+
+    def test_dimension_mismatch(self):
+        op = build_operator(scalar_factor(), 1e-3)
+        with pytest.raises(SmwError, match="different dimension"):
+            gram(op, LabeledMatrix([[1.0, 0.0], [0.0, 1.0]], [1, -1]))
