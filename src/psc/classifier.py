@@ -47,8 +47,10 @@ def _check_settings(c0: float, r_scale: float, tol: float, max_iter: int) -> Non
 
 @dataclass(frozen=True)
 class LinearModel:
-    """A fitted linear rule. Its w is a read-only view, so a fit can hand the
-    same model to many callers; an array passed in stays writable."""
+    """A fitted linear rule. Its w is read-only, so a fit can hand the same
+    model to many callers. A writable array passed in is copied, so the
+    caller's later writes do not reach the model; a read-only one, such as
+    another model's w, is shared."""
 
     w: np.ndarray
     b: float
@@ -65,11 +67,13 @@ class LinearModel:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64).ravel()
+        if w.flags.writeable:
+            w = w.copy()
         if not np.isfinite(w).all():
             raise FitError("direction vector has non-finite entries")
         if not np.any(w):
             raise FitError("direction vector is all-zero")
-        object.__setattr__(self, "w", _freeze(w))  # ravel gave the model its own view
+        object.__setattr__(self, "w", _freeze(w))
 
     @property
     def d(self) -> int:
@@ -206,7 +210,7 @@ def fit_cssvm(
         G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
         G = (G + G.T) / 2.0
         sol = _solve_dual(G, y, caps, tol, max_iter)
-        w = data.samples.T @ (y * sol.alpha)
+        w = _freeze(data.samples.T @ (y * sol.alpha))  # shared by the memo and its models
         proj = data.samples @ w
         if not sol.upper_active:
             train.memo[key] = (c0, (sol, w, proj))

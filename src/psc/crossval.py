@@ -99,14 +99,15 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
     validation score. The fold's training set is prepared once for all
     cells and dropped on return; a cell whose fit fails leaves scores."""
     sub = classifier.prepare(LabeledMatrix(train.samples[tr], train.labels[tr]))
+    val_samples, val_labels = train.samples[va], train.labels[va]
     for hp in list(scores):
         try:
             model = classifier.fit(config.method, sub, hp)
         except FIT_ERRORS:
             del scores[hp]
             continue
-        dec = train.samples[va] @ model.w + model.b
-        scores[hp].append(_score(evaluate(train.labels[va], dec), config.selection_metric))
+        dec = val_samples @ model.w + model.b
+        scores[hp].append(_score(evaluate(val_labels, dec), config.selection_metric))
 
 
 def tune_and_fit(

@@ -45,7 +45,7 @@ class LabeledMatrix:
         if not np.isfinite(X).all():
             i, j = np.argwhere(~np.isfinite(X))[0]
             raise DatasetError(f"non-finite value at row {i}, column {j}")
-        if not np.isin(y, (-1, 1)).all():
+        if not ((y == 1) | (y == -1)).all():
             raise DatasetError("labels must be +1 or -1")
         if (y == 1).sum() == 0 or (y == -1).sum() == 0:
             raise DatasetError("need at least one sample per class")

@@ -115,7 +115,7 @@ def evaluate(labels, decisions) -> EvalReport:
     decisions = np.asarray(decisions, dtype=np.float64).ravel()
     if labels.shape != decisions.shape:
         raise MetricsError("labels and decisions must have equal length")
-    if not np.isin(labels, (-1, 1)).all():
+    if not ((labels == 1) | (labels == -1)).all():
         raise MetricsError("labels must be +1 or -1")
     preds = np.where(decisions >= 0.0, 1, -1)
     pos = labels == 1

@@ -1,8 +1,11 @@
 """Dual box QP with one equality constraint, solved by a two-coordinate
 working-set method (maximal violating pair).
 
-The pair-update loop is the hot kernel. It is vectorized over the
-coordinates with numpy and breaks ties by lowest index.
+The pair-update loop is the hot kernel. It carries the score -y * grad
+and the two working-set masks from step to step and touches only the two
+coordinates that move: a step costs two masked copies, an argmax, an argmin
+and one rank-two score update over the coordinates, and does the pair's
+scalar arithmetic on Python floats. Ties break by lowest index.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class BoxQP:
         scale = max(1.0, float(np.abs(G).max()))
         if np.abs(G - G.T).max() > 1e-10 * scale:
             raise QpError("G is not symmetric")
-        if not np.isin(y, (-1.0, 1.0)).all():
+        if not ((y == 1.0) | (y == -1.0)).all():
             raise QpError("y entries must be +1 or -1")
         if (upper <= 0).any():
             raise QpError("all upper bounds must be positive")
@@ -84,43 +87,68 @@ def solve_smo(
     same alpha, iterations and gap bit for bit."""
     if not tol > 0:
         raise QpError("tol must be positive")
-    G, y, upper = problem.G, problem.y, problem.upper
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    grad = -np.ones(n)
+    G = problem.G
+    n = problem.n
+    y, upper = problem.y.tolist(), problem.upper.tolist()
+    diag = G.diagonal().tolist()
+    alpha = [0.0] * n
+    # score = -y * grad with grad = G alpha - 1, so it starts at y. Row i of
+    # Q is -y_i * y * G[:, i]; a factor of -1 is exact and rounding is
+    # symmetric in sign, so score += step * (Q[i] - Q[j]) rounds entry by
+    # entry as grad += step * (y_i G[:, i] - y_j G[:, j]) does, up to the
+    # sign of an exact zero, which compares equal
+    score = problem.y.copy()
+    Q = np.ascontiguousarray((np.outer(problem.y, -problem.y) * G).T)
+    delta = np.empty(n)
+    # up: alpha < upper if y > 0 else alpha > 0; low: the same with -y. The
+    # masked scores hold -inf (up) or +inf (low) off their set, and take
+    # the set's scores afresh each step
+    up = (problem.y > 0) & (problem.upper > 0.0)
+    low = (problem.y < 0) & (problem.upper > 0.0)
+    up_score = np.full(n, -np.inf)
+    low_score = np.full(n, np.inf)
     it = 0
     upper_active = False
     while True:
-        score = -y * grad
-        up_mask = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0.0))
-        low_mask = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0.0))
-        if not up_mask.any() or not low_mask.any():
-            gap = 0.0
-            break
-        i = int(np.argmax(np.where(up_mask, score, -np.inf)))
-        j = int(np.argmin(np.where(low_mask, score, np.inf)))
-        gap = score[i] - score[j]
-        # the gap is of the current alpha, so a solve stopped by the cap
-        # reports the residual of the iterate it returns
+        np.putmask(up_score, up, score)
+        np.putmask(low_score, low, score)
+        i = int(up_score.argmax())
+        j = int(low_score.argmin())
+        # an empty side of the working set leaves its extreme infinite, so
+        # the gap is -inf and reads as 0. The gap is of the current alpha,
+        # so a solve stopped by the cap reports the residual of the iterate
+        # it returns
+        gap = up_score.item(i) - low_score.item(j)
         if gap <= tol or it >= max_iter:
             break
-        room_i = upper[i] - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else upper[j] - alpha[j]
-        quad = G[i, i] + G[j, j] - 2.0 * y[i] * y[j] * G[i, j]
+        y_i, y_j = y[i], y[j]
+        room_i = upper[i] - alpha[i] if y_i > 0 else alpha[i]
+        room_j = alpha[j] if y_j > 0 else upper[j] - alpha[j]
+        quad = diag[i] + diag[j] - 2.0 * y_i * y_j * G.item(i, j)
         if quad > 1e-12:
             step = min(gap / quad, room_i, room_j)
         else:
             step = min(room_i, room_j)
-        if (y[i] > 0 and room_i <= step) or (y[j] < 0 and room_j <= step):
+        if (y_i > 0 and room_i <= step) or (y_j < 0 and room_j <= step):
             upper_active = True
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        alpha[i] = min(max(alpha[i], 0.0), upper[i])
-        alpha[j] = min(max(alpha[j], 0.0), upper[j])
-        if alpha[i] == upper[i] or alpha[j] == upper[j]:
+        a_i = min(max(alpha[i] + y_i * step, 0.0), upper[i])
+        a_j = min(max(alpha[j] - y_j * step, 0.0), upper[j])
+        if a_i == upper[i] or a_j == upper[j]:
             upper_active = True
-        grad += step * (y[i] * G[:, i] - y[j] * G[:, j])
+        alpha[i], alpha[j] = a_i, a_j
+        for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
+            below, above = a_k < upper[k], a_k > 0.0
+            up_k, low_k = (below, above) if y_k > 0 else (above, below)
+            up[k], low[k] = up_k, low_k
+            if not up_k:
+                up_score[k] = -np.inf
+            if not low_k:
+                low_score[k] = np.inf
+        np.subtract(Q[i], Q[j], out=delta)
+        delta *= step
+        score += delta
         it += 1
+    alpha = np.array(alpha)
     gap = max(float(gap), 0.0)
     return DualSolution(
         alpha=alpha,

@@ -255,6 +255,14 @@ class TestReadOnlyModel:
         model = LinearModel(w=w, b=0.0, method_tag="rmdd")
         assert w.flags.writeable and not model.w.flags.writeable
 
+    def test_later_writes_to_the_array_passed_in_do_not_reach_the_model(self):
+        w = np.array([1.0, 2.0])
+        model = LinearModel(w=w, b=0.0, method_tag="rmdd")
+        w[:] = 0.0
+        assert np.array_equal(model.w, [1.0, 2.0])
+        w[0] = np.nan
+        assert np.array_equal(model.w, [1.0, 2.0])
+
     @pytest.mark.parametrize("w, message", [
         ([1.0, np.nan], "non-finite"),
         ([0.0, 0.0], "all-zero"),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from psc.qp import BoxQP, QpError, objective, solve_smo
-from tests.oracles import brute_force_small, kkt_violation
+from psc import classifier, qp
+from psc.crossval import ExperimentConfig, cv_run
+from psc.dataset import simulate_hdlss
+from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, QpError, objective, solve_smo
+from tests.oracles import brute_force_small, kkt_violation, smo_reference
 
 I2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
@@ -34,9 +37,9 @@ def separable_wide_problem(seed, n=10, d=200):
 
 
 def assert_same_solve(a, b):
-    assert np.array_equal(a.alpha, b.alpha)
-    assert (a.iterations, a.kkt_residual, a.objective, a.converged) == (
-        b.iterations, b.kkt_residual, b.objective, b.converged)
+    assert a.alpha.dtype == b.alpha.dtype and a.alpha.tobytes() == b.alpha.tobytes()
+    assert (a.iterations, a.kkt_residual, a.objective, a.converged, a.upper_active) == (
+        b.iterations, b.kkt_residual, b.objective, b.converged, b.upper_active)
 
 
 class TestBoxQP:
@@ -207,3 +210,72 @@ class TestKktViolation:
             kkt_violation(p, sol.alpha), abs=1e-12
         )
 
+
+
+@pytest.fixture(scope="module")
+def repeat_duals():
+    """Every dual that one cv repeat of psc and of cssvm solves on the
+    criterion-7 data, and the duals of eight psc fits at n=30, d=20000,
+    collected with the reference solving them."""
+    captured = []
+
+    def record(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+        captured.append((problem, tol, max_iter))
+        return smo_reference(problem, tol, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "solve_smo", record)
+        data = simulate_hdlss(2000, 22, 40, seed=1)
+        for method in ("psc", "cssvm"):
+            cv_run(data, ExperimentConfig(method=method, repeats=1, seed=1))
+        for seed in range(8):
+            classifier.fit("psc", simulate_hdlss(20000, 20, 10, seed=1000 + seed),
+                           classifier.Hyperparams(gamma=0.5, c0=1.0))
+    return captured
+
+
+def assert_matches_reference(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    ref = smo_reference(problem, tol, max_iter)
+    # a cap one step past the reference's count leaves the solve as it is,
+    # and bounds the run of a kernel that strays from the reference
+    assert_same_solve(solve_smo(problem, tol, min(max_iter, ref.iterations + 1)), ref)
+
+
+class TestMatchesReference:
+    """solve_smo carries its score and masks from step to step; it must take
+    the reference loop's steps and return its solution bit for bit."""
+
+    def test_the_duals_of_a_cv_repeat_and_of_wide_fits(self, repeat_duals):
+        assert len(repeat_duals) > 100
+        for problem, tol, max_iter in repeat_duals:
+            assert_matches_reference(problem, tol, max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3, 7, DEFAULT_MAX_ITER])
+    def test_random_problems_under_every_iteration_cap(self, max_iter):
+        for n in range(2, 21):
+            for seed in range(5):
+                assert_matches_reference(random_small_problem(100 * n + seed, n=n),
+                                         max_iter=max_iter)
+
+    def test_caps_around_the_largest_free_multiplier(self):
+        problems = [separable_wide_problem(seed)[0] for seed in range(10)]
+        problems += [random_small_problem(seed, n=4) for seed in range(25)]
+        for p in problems:
+            top = smo_reference(BoxQP(p.G, p.y, np.full(p.n, 1e6))).alpha.max()
+            for scale in (0.3, 0.5, 0.8, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.2, 1.5):
+                assert_matches_reference(BoxQP(p.G, p.y, np.full(p.n, scale * top)))
+
+    @pytest.mark.parametrize("problem", [
+        BoxQP(I2, [1.0, 1.0], [1.0, 1.0]),  # one class: the working set is empty
+        BoxQP(I2, [-1.0, -1.0], [1.0, 2.0]),
+        BoxQP(np.zeros((2, 2)), Y2, [1.0, 0.25]),  # zero curvature
+        BoxQP(np.zeros((4, 4)), [1.0, -1.0, -1.0, 1.0], [0.5, 1.0, 0.25, 2.0]),
+        BoxQP(I2, Y2, [0.5, 0.5]),  # clipped at the caps
+        BoxQP(I2, Y2, [2.0, 2.0]),  # interior optimum
+    ], ids=["one-class-pos", "one-class-neg", "zero-G", "zero-G-4", "clipped", "interior"])
+    def test_edge_cases(self, problem):
+        assert_matches_reference(problem)
+
+    def test_rejects_a_nonpositive_tol(self):
+        with pytest.raises(QpError, match="tol must be positive"):
+            solve_smo(BoxQP(I2, Y2, [1.0, 1.0]), tol=0.0)
