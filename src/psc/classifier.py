@@ -73,6 +73,8 @@ class LinearModel:
             raise FitError("direction vector has non-finite entries")
         if not np.any(w):
             raise FitError("direction vector is all-zero")
+        if not math.isfinite(self.b):
+            raise FitError(f"intercept must be finite, got {self.b}")
         object.__setattr__(self, "w", _freeze(w))
 
     @property
@@ -240,6 +242,8 @@ def fit_rmdd(
     seed_provenance: str | None = None,
 ) -> LinearModel:
     """Unit-norm class-mean difference direction with the adaptive intercept."""
+    if not r_scale > 0:  # also rejects NaN
+        raise FitError(f"r_scale must be positive, got {r_scale}")
     train = _prepared(data)
     data, stats = train.data, train.stats
     diff = stats.u1 - stats.u2

@@ -86,11 +86,8 @@ def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:
 
 
 def _score(report: EvalReport, metric: str) -> float:
-    if metric == "bccr":
-        return report.bccr
-    if metric == "total_ccr":
-        return report.total_ccr
-    return 1.0 - report.mwe  # higher is better throughout
+    value = getattr(report, metric)
+    return 1.0 - value if metric == "mwe" else value  # higher is better throughout
 
 
 def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
@@ -146,7 +143,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
     samples, labels = data.samples, data.labels
     repeats_out = []
     all_labels, all_decisions = [], []
-    per_repeat_scores = {"bccr": [], "total_ccr": [], "mwe": []}
+    per_repeat_scores = {metric: [] for metric in SELECTION_METRICS}
     for rep in range(config.repeats):
         outer = stratified_kfold(labels, config.outer_folds, seed=config.seed + rep)
         fold_reports = []
@@ -181,9 +178,8 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
             "folds": fold_reports,
             "pooled": asdict(pooled),
         })
-        per_repeat_scores["bccr"].append(pooled.bccr)
-        per_repeat_scores["total_ccr"].append(pooled.total_ccr)
-        per_repeat_scores["mwe"].append(pooled.mwe)
+        for metric, scores in per_repeat_scores.items():
+            scores.append(getattr(pooled, metric))
         all_labels.extend(rep_labels)
         all_decisions.extend(rep_decisions)
     grand = evaluate(np.concatenate(all_labels), np.concatenate(all_decisions))

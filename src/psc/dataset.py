@@ -111,8 +111,6 @@ def class_stats(data: LabeledMatrix) -> ClassStats:
     pos = data.labels == 1
     n1 = int(pos.sum())
     n2 = data.n - n1
-    if n1 == 0 or n2 == 0:
-        raise DatasetError("both classes required")
     u1 = data.samples[pos].mean(axis=0)
     u2 = data.samples[~pos].mean(axis=0)
     return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2, m=max(n1, n2) / min(n1, n2))
@@ -180,6 +178,8 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise DatasetError("k must be at least 2")
+    if not ((labels == 1) | (labels == -1)).all():
+        raise DatasetError("labels must be +1 or -1")
     rng = make_rng(seed)
     assignments = np.empty(labels.shape[0], dtype=np.int64)
     for cls in (1, -1):

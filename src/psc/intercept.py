@@ -49,7 +49,7 @@ def is_separable(p: Projections) -> bool:
 
 def gap_intercept(p: Projections, R: float = DEFAULT_R) -> float:
     """Split the projection gap with ratio b-/b+ = (n_maj/n_min)^(-1/(2R))."""
-    if R <= 0:
+    if not R > 0:  # also rejects NaN
         raise InterceptError("R must be positive")
     if not is_separable(p):
         raise InterceptError("classes are not separable along this direction")
@@ -66,46 +66,30 @@ def gap_intercept(p: Projections, R: float = DEFAULT_R) -> float:
     return b_plus - lo
 
 
-def _misclassified(values: np.ndarray, labels: np.ndarray, threshold: float) -> np.ndarray:
-    # predicted +1 iff value >= threshold (sign(0) = +1); a sample exactly on
-    # the boundary counts as misclassified regardless of its label
-    margin = labels * (values - threshold)
-    return margin <= 0.0
-
-
 def min_misclass_intercept(p: Projections) -> float:
     """Threshold minimizing the misclassification count J over all reals.
 
     Candidates are midpoints between consecutive distinct projections plus
     one point beyond each extreme; ties are broken by widest enclosing gap,
-    then higher minority-class recall, then smaller |b|.
+    then higher minority-class recall, then smaller |b|. One sort of each
+    class counts every candidate's errors, so the scan is O(n log n).
     """
-    values = np.concatenate([p.pos, p.neg])
-    labels = np.concatenate([np.ones(p.pos.size), -np.ones(p.neg.size)])
-    distinct = np.unique(values)
-    candidates = [(distinct[0] - 1.0, np.inf)]
-    for a, b in zip(distinct[:-1], distinct[1:]):
-        candidates.append(((a + b) / 2.0, b - a))
-    candidates.append((distinct[-1] + 1.0, np.inf))
-
-    if p.pos.size < p.neg.size:
-        minority = labels > 0
-    elif p.neg.size < p.pos.size:
-        minority = labels < 0
-    else:
-        minority = labels > 0  # balanced: break ties on the positive class
-
-    best = None
-    best_key = None
-    for threshold, gap in candidates:
-        mis = _misclassified(values, labels, threshold)
-        j_score = 2 * int(mis.sum()) - values.size  # sum of +/-1 terms
-        recall = float((~mis[minority]).sum()) / minority.sum()
-        key = (j_score, -gap, -recall, abs(-threshold))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = -threshold
-    return float(best)
+    pos, neg = np.sort(p.pos), np.sort(p.neg)
+    distinct = np.unique(np.concatenate([p.pos, p.neg]))
+    thresholds = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
+                                 [distinct[-1] + 1.0]])
+    gaps = np.concatenate([[np.inf], np.diff(distinct), [np.inf]])
+    # predicted +1 iff value >= threshold (sign(0) = +1); a sample exactly on
+    # the threshold counts as misclassified regardless of its label
+    pos_errors = np.searchsorted(pos, thresholds, side="right")
+    neg_errors = neg.size - np.searchsorted(neg, thresholds, side="left")
+    if neg.size < pos.size:
+        recall = (neg.size - neg_errors) / neg.size
+    else:  # the positive class, also when balanced
+        recall = (pos.size - pos_errors) / pos.size
+    # lexsort's last key is primary and it is stable: the first minimum wins
+    best = np.lexsort((np.abs(thresholds), -recall, -gaps, pos_errors + neg_errors))[0]
+    return float(-thresholds[best])
 
 
 def choose_intercept(p: Projections, R: float = DEFAULT_R) -> float:

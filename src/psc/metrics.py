@@ -117,6 +117,8 @@ def evaluate(labels, decisions) -> EvalReport:
         raise MetricsError("labels and decisions must have equal length")
     if not ((labels == 1) | (labels == -1)).all():
         raise MetricsError("labels must be +1 or -1")
+    if np.isnan(decisions).any():
+        raise MetricsError("decisions must not be NaN")
     preds = np.where(decisions >= 0.0, 1, -1)
     pos = labels == 1
     confusion = ConfusionMatrix(

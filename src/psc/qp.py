@@ -39,12 +39,14 @@ class BoxQP:
             raise QpError(f"G shape {G.shape} does not match n={n}")
         if upper.shape[0] != n:
             raise QpError("upper bound vector length mismatch")
+        if not np.isfinite(G).all():
+            raise QpError("G has non-finite entries")
         scale = max(1.0, float(np.abs(G).max()))
         if np.abs(G - G.T).max() > 1e-10 * scale:
             raise QpError("G is not symmetric")
         if not ((y == 1.0) | (y == -1.0)).all():
             raise QpError("y entries must be +1 or -1")
-        if (upper <= 0).any():
+        if not (upper > 0).all():  # also rejects NaN
             raise QpError("all upper bounds must be positive")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "y", y)

@@ -1,13 +1,15 @@
 """Dense and exhaustive reference implementations the tests check the
 library against: the KKT gap of a dual point, a grid search over tiny box
-QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, and
-the explicit d x d scatter matrix."""
+QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, the
+per-candidate threshold loop that intercept.min_misclass_intercept must match
+bit for bit, and the explicit d x d scatter matrix."""
 
 from itertools import product
 
 import numpy as np
 
 from psc.dataset import ClassStats, LabeledMatrix
+from psc.intercept import Projections
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
 from psc.scatter import beta
 
@@ -114,6 +116,48 @@ def smo_reference(
         converged=gap <= tol,
         upper_active=upper_active,
     )
+
+
+def _misclassified(values: np.ndarray, labels: np.ndarray, threshold: float) -> np.ndarray:
+    # predicted +1 iff value >= threshold (sign(0) = +1); a sample exactly on
+    # the boundary counts as misclassified regardless of its label
+    margin = labels * (values - threshold)
+    return margin <= 0.0
+
+
+def min_misclass_reference(p: Projections) -> float:
+    """Threshold minimizing the misclassification count J over all reals.
+
+    Candidates are midpoints between consecutive distinct projections plus
+    one point beyond each extreme; ties are broken by widest enclosing gap,
+    then higher minority-class recall, then smaller |b|.
+    """
+    values = np.concatenate([p.pos, p.neg])
+    labels = np.concatenate([np.ones(p.pos.size), -np.ones(p.neg.size)])
+    distinct = np.unique(values)
+    candidates = [(distinct[0] - 1.0, np.inf)]
+    for a, b in zip(distinct[:-1], distinct[1:]):
+        candidates.append(((a + b) / 2.0, b - a))
+    candidates.append((distinct[-1] + 1.0, np.inf))
+
+    if p.pos.size < p.neg.size:
+        minority = labels > 0
+    elif p.neg.size < p.pos.size:
+        minority = labels < 0
+    else:
+        minority = labels > 0  # balanced: break ties on the positive class
+
+    best = None
+    best_key = None
+    for threshold, gap in candidates:
+        mis = _misclassified(values, labels, threshold)
+        j_score = 2 * int(mis.sum()) - values.size  # sum of +/-1 terms
+        recall = float((~mis[minority]).sum()) / minority.sum()
+        key = (j_score, -gap, -recall, abs(-threshold))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = -threshold
+    return float(best)
 
 
 def dense_scatter(data: LabeledMatrix, stats: ClassStats) -> np.ndarray:

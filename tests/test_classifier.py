@@ -271,6 +271,24 @@ class TestReadOnlyModel:
         with pytest.raises(FitError, match=message):
             LinearModel(w=np.array(w), b=0.0, method_tag="rmdd")
 
+    @pytest.mark.parametrize("b", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_intercept(self, b):
+        with pytest.raises(FitError, match="intercept must be finite"):
+            LinearModel(w=np.array([1.0]), b=b, method_tag="rmdd")
+
+
+class TestFitRmddSettings:
+    SEPARABLE = LabeledMatrix([[3.0], [4.0], [0.0], [1.0]], [1, 1, -1, -1])
+    OVERLAPPING = LabeledMatrix([[3.0], [0.5], [0.0], [1.0]], [1, 1, -1, -1])
+
+    @pytest.mark.parametrize("r_scale", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("data", [SEPARABLE, OVERLAPPING], ids=["separable", "overlapping"])
+    def test_rejects_a_nan_or_non_positive_r_scale(self, data, r_scale):
+        # NaN gave b = nan; -1 ran on overlapping data and raised an
+        # InterceptError only on separable data
+        with pytest.raises(FitError, match="r_scale must be positive"):
+            fit_rmdd(data, r_scale=r_scale)
+
 
 class TestDecision:
     def test_example(self):

@@ -154,6 +154,11 @@ class TestStratifiedKfold:
         with pytest.raises(DatasetError, match="fewer than k"):
             stratified_kfold([1, 1, -1, -1, -1], 3, seed=0)
 
+    def test_rejects_a_label_other_than_plus_or_minus_one(self):
+        # the 0 and 5 rows got fold numbers from uninitialised memory
+        with pytest.raises(DatasetError, match=r"labels must be \+1 or -1"):
+            stratified_kfold([1, 1, -1, -1, 0, 5], 2, seed=0)
+
 
 class TestSimulators:
     def test_scaling_constant(self):

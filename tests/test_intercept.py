@@ -11,6 +11,7 @@ from psc.intercept import (
     is_separable,
     min_misclass_intercept,
 )
+from tests.oracles import min_misclass_reference
 
 
 def misclass_count(p, b):
@@ -66,6 +67,11 @@ class TestGapIntercept:
         assert all(a <= b_ for a, b_ in zip(shares, shares[1:]))
         assert shares[-1] > 0.9
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+    def test_rejects_a_nan_or_non_positive_r(self, R):
+        with pytest.raises(InterceptError, match="R must be positive"):
+            gap_intercept(Projections([3, 4], [0, 1]), R)
+
     def test_not_separable_raises(self):
         with pytest.raises(InterceptError, match="separable"):
             gap_intercept(Projections([1, -0.5], [-1, 0.2]), 2.0)
@@ -97,6 +103,12 @@ class TestMinMisclass:
         b = min_misclass_intercept(p)
         assert 5.0 + b >= 0
 
+    def test_smaller_threshold_breaks_a_full_tie(self):
+        # -2e17 - 1 and 1e17 + 1 round onto the samples, so both end
+        # candidates misclassify everything with infinite gaps and zero
+        # recall; the smaller |threshold| wins
+        assert min_misclass_intercept(Projections([-2e17], [1e17])) == -1e17
+
     def test_achieves_exhaustive_minimum(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
@@ -107,6 +119,84 @@ class TestMinMisclass:
             grid = np.linspace(-10.0, 10.0, 4001)
             best = min(misclass_count(p, g) for g in grid)
             assert misclass_count(p, b) <= best
+
+
+def assert_same_bits(a, b):
+    assert a == b and np.signbit(a) == np.signbit(b), (a, b)
+
+
+def each_class(draw):
+    """A family that draws both classes alike, 1 to 29 values each."""
+    def family(rng):
+        n_pos, n_neg = rng.integers(1, 30, 2)
+        return draw(rng, n_pos), draw(rng, n_neg)
+    return family
+
+
+def ulps_apart(rng, k):
+    # consecutive floats, so that some midpoints round onto a sample
+    base = rng.standard_normal() * 10.0 ** rng.integers(-4, 5)
+    return base + rng.integers(-3, 4, k) * np.spacing(base)
+
+
+def all_equal(rng):
+    v = rng.choice([rng.standard_normal(), 0.0, -0.0])
+    n_pos, n_neg = rng.integers(1, 6, 2)
+    return np.full(n_pos, v), np.full(n_neg, v)
+
+
+def one_point_class(rng):
+    one, many = rng.standard_normal(1), rng.standard_normal(rng.integers(1, 10))
+    return (one, many) if rng.random() < 0.5 else (many, one)
+
+
+def shared_values(rng):
+    pool = rng.standard_normal(rng.integers(1, 6))
+    n_pos, n_neg = rng.integers(1, 30, 2)
+    return rng.choice(pool, n_pos), rng.choice(pool, n_neg)
+
+
+def up_to_300(rng):
+    n_pos, n_neg = rng.integers(1, 151, 2)
+    return rng.standard_normal(n_pos) + 0.3, rng.standard_normal(n_neg)
+
+
+# name -> (draw (pos, neg) from a generator, number of cases)
+SCAN_FAMILIES = {
+    "normal": (each_class(lambda rng, k: rng.standard_normal(k)), 300),
+    "integer_ties": (each_class(lambda rng, k: rng.integers(-3, 4, k).astype(np.float64)), 300),
+    "ulps_apart": (each_class(ulps_apart), 300),
+    "signed_zeros": (each_class(lambda rng, k: rng.choice([0.0, -0.0, 1.0, -1.0], k)), 300),
+    # beyond 2**53 the end candidates v -/+ 1 land on the extreme samples
+    "beyond_2_53": (each_class(lambda rng, k: rng.integers(-3, 4, k) * 2.0**60), 300),
+    "all_equal": (all_equal, 100),
+    "one_point_class": (one_point_class, 200),
+    "shared_values": (shared_values, 200),
+    "up_to_300": (up_to_300, 20),
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(SCAN_FAMILIES))
+def test_min_misclass_matches_reference_on_seeded_family(seed, name):
+    """The sorted scan equals the per-candidate loop of tests/oracles.py bit
+    for bit, sign of zero included."""
+    family, cases = SCAN_FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        p = Projections(*family(rng))
+        assert_same_bits(min_misclass_intercept(p), min_misclass_reference(p))
+
+
+# beyond about 1e300 the reference's values - threshold can overflow, and
+# the RuntimeWarning fails the run
+scan_values = st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=scan_values, neg=scan_values)
+def test_min_misclass_matches_reference_on_finite_floats(pos, neg):
+    p = Projections(pos, neg)
+    assert_same_bits(min_misclass_intercept(p), min_misclass_reference(p))
 
 
 class TestChooseIntercept:

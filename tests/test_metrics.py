@@ -139,6 +139,11 @@ class TestEvaluate:
         with pytest.raises(MetricsError):
             evaluate(np.array([1, -1]), np.array([1.0]))
 
+    def test_rejects_a_nan_decision(self):
+        # a NaN was scored as the lowest decision and as class -1
+        with pytest.raises(MetricsError, match="NaN"):
+            evaluate(np.array([1, -1]), np.array([np.nan, 0.5]))
+
     def test_rejects_a_label_of_zero(self):
         with pytest.raises(MetricsError, match="labels must be"):
             evaluate(np.array([1, 0]), np.array([1.0, -1.0]))

@@ -55,6 +55,19 @@ class TestBoxQP:
         with pytest.raises(QpError, match="positive"):
             BoxQP(I2, Y2, [1.0, 0.0])
 
+    def test_rejects_a_nan_cap(self):
+        # it solved to alpha = 0 with converged and upper_active both set
+        # wrongly, which the c0 memo reads as valid at every larger cap
+        with pytest.raises(QpError, match="positive"):
+            solve_smo(BoxQP(I2, Y2, [np.nan, 1.0]), max_iter=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_g(self, bad):
+        # a NaN off-diagonal passed the symmetry test and then ran to
+        # max_iter, returning objective=nan
+        with pytest.raises(QpError, match="non-finite"):
+            solve_smo(BoxQP([[1.0, bad], [bad, 1.0]], Y2, [1.0, 1.0]), max_iter=10)
+
 
 class TestSolveSmo:
     def test_analytic_clipped(self):
