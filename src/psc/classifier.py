@@ -49,8 +49,8 @@ def _check_settings(c0: float, r_scale: float, tol: float, max_iter: int) -> Non
 class LinearModel:
     """A fitted linear rule. Its w is read-only, so a fit can hand the same
     model to many callers. A writable array passed in is copied, so the
-    caller's later writes do not reach the model; a read-only one, such as
-    another model's w, is shared."""
+    caller's later writes do not reach the model; a read-only 1-D one, such
+    as another model's w, is shared as the same object."""
 
     w: np.ndarray
     b: float
@@ -66,9 +66,9 @@ class LinearModel:
     seed_provenance: str | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64).ravel()
-        if w.flags.writeable:
-            w = w.copy()
+        w = np.asarray(self.w, dtype=np.float64)
+        if w.ndim != 1 or w.flags.writeable or not w.flags.c_contiguous:
+            w = w.flatten()
         if not np.isfinite(w).all():
             raise FitError("direction vector has non-finite entries")
         if not np.any(w):

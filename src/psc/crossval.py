@@ -94,17 +94,22 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
                       scores: dict, config: ExperimentConfig) -> None:
     """Fit every cell still in scores on one inner fold and append its
     validation score. The fold's training set is prepared once for all
-    cells and dropped on return; a cell whose fit fails leaves scores."""
+    cells and dropped on return; a cell whose fit fails leaves scores.
+    A fit that returns the last scored model's w (the same object) and an
+    equal b makes the same decisions, so it gets that model's score."""
     sub = classifier.prepare(LabeledMatrix(train.samples[tr], train.labels[tr]))
     val_samples, val_labels = train.samples[va], train.labels[va]
+    last = None  # (w, b, score) of the last model scored
     for hp in list(scores):
         try:
             model = classifier.fit(config.method, sub, hp)
         except FIT_ERRORS:
             del scores[hp]
             continue
-        dec = val_samples @ model.w + model.b
-        scores[hp].append(_score(evaluate(val_labels, dec), config.selection_metric))
+        if last is None or model.w is not last[0] or model.b != last[1]:
+            dec = val_samples @ model.w + model.b
+            last = (model.w, model.b, _score(evaluate(val_labels, dec), config.selection_metric))
+        scores[hp].append(last[2])
 
 
 def tune_and_fit(

@@ -139,21 +139,13 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
             if len(row) != len(header):
                 raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
             labels.append(1 if row[label_idx] in positive_labels else -1)
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {header[i]!r}: cannot parse {cell!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {header[i]!r}: non-finite value {cell!r}"
-                    )
-                values.append(v)
+            # numpy parses a str cell with float()'s rules, so the bits are float()'s
+            try:
+                values = np.array(row[:label_idx] + row[label_idx + 1:], dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = _parse_row(path, row_no, header, row, label_idx)
             rows.append(values)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
@@ -161,6 +153,27 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
     if (labels == 1).all() or (labels == -1).all():
         raise DatasetError(f"{path}: binarization produced a single class")
     return LabeledMatrix(np.asarray(rows), labels, feature_names)
+
+
+def _parse_row(path, row_no: int, header: list[str], row: list[str], label_idx: int) -> list[float]:
+    """Parse a row's feature cells one at a time, raising at the first cell
+    that is not a finite number."""
+    values = []
+    for i, cell in enumerate(row):
+        if i == label_idx:
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DatasetError(
+                f"{path}: row {row_no}, column {header[i]!r}: cannot parse {cell!r}"
+            ) from None
+        if not math.isfinite(v):
+            raise DatasetError(
+                f"{path}: row {row_no}, column {header[i]!r}: non-finite value {cell!r}"
+            )
+        values.append(v)
+    return values
 
 
 def write_csv(data: LabeledMatrix, path, label_column: str = "label") -> None:

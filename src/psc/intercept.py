@@ -76,9 +76,15 @@ def min_misclass_intercept(p: Projections) -> float:
     """
     pos, neg = np.sort(p.pos), np.sort(p.neg)
     distinct = np.unique(np.concatenate([p.pos, p.neg]))
-    thresholds = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
-                                 [distinct[-1] + 1.0]])
-    gaps = np.concatenate([[np.inf], np.diff(distinct), [np.inf]])
+    lo, hi = distinct[:-1], distinct[1:]
+    # near the float limit a sum or a gap can overflow: a gap then reads inf,
+    # and a midpoint is re-formed as lo/2 + hi/2 (the others keep their bits)
+    with np.errstate(over="ignore"):
+        mids = (lo + hi) / 2.0
+        gaps = np.concatenate([[np.inf], hi - lo, [np.inf]])
+    over = ~np.isfinite(mids)
+    mids[over] = lo[over] / 2.0 + hi[over] / 2.0
+    thresholds = np.concatenate([[distinct[0] - 1.0], mids, [distinct[-1] + 1.0]])
     # predicted +1 iff value >= threshold (sign(0) = +1); a sample exactly on
     # the threshold counts as misclassified regardless of its label
     pos_errors = np.searchsorted(pos, thresholds, side="right")

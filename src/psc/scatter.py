@@ -1,6 +1,7 @@
 """Population scatter structure: the combined matrix beta*S_B + S_W, its
-low-rank factorization D^T diag(L_tau) D, and the spectrum of that factor,
-which the SMW operator shares across every lambda."""
+low-rank factorization D^T diag(L_tau) D, the spectrum of that factor, and
+the training rows' lambda-free Gram products, which the SMW operator shares
+across every lambda."""
 
 from __future__ import annotations
 
@@ -23,6 +24,9 @@ class PopulationFactor:
     With C = diag(sqrt(l_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
     has the nonzero eigenvalues of C^T C = beta*S_B + S_W. spectrum is
     ascending and basis is diag(sqrt(l_tau)) U, so C^T U = D^T basis.
+
+    xx = X X^T and xp = X D^T basis are the products of the training rows X
+    (in the data's row order) that every lambda's dual Gram shares.
     """
 
     d_matrix: np.ndarray  # (n+1, d)
@@ -32,6 +36,12 @@ class PopulationFactor:
     n2: int
     spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
     basis: np.ndarray  # (n+1, n+1) diag(sqrt(l_tau)) times the eigenvectors
+    xx: np.ndarray  # (n, n) X X^T
+    xp: np.ndarray  # (n, n+1) X D^T basis
+
+    @property
+    def n(self) -> int:
+        return self.xx.shape[0]
 
     @property
     def d(self) -> int:
@@ -62,7 +72,9 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     C = D * sqrt_l[:, None]
     A = C @ C.T
     spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
+    basis = sqrt_l[:, None] * U
+    X = data.samples
     return PopulationFactor(
         d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2,
-        spectrum=spectrum, basis=sqrt_l[:, None] * U,
+        spectrum=spectrum, basis=basis, xx=X @ X.T, xp=(X @ D.T) @ basis,
     )

@@ -7,7 +7,8 @@ set, and every lambda shares it:
     M V = V + C^T U diag(lam / (1 - lam*s)) U^T C V
 
 The PD cap is 1/max(s), and for any lam below it the dual Gram is
-y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. No d x d
+y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. The
+factor carries X X^T and P, so a lambda costs n-space work only. No d x d
 matrix is ever materialized, and no matrix is factored per lambda.
 """
 
@@ -65,13 +66,15 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
 
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
-    """Dual Gram matrix Y X M X^T Y, symmetrized, with a PSD guard."""
-    if data.d != op.factor.d:
+    """Dual Gram matrix Y X M X^T Y of the training rows the factor was built
+    from, symmetrized, with a PSD guard. data supplies their labels."""
+    factor = op.factor
+    if data.d != factor.d:
         raise SmwError("operator was built for a different dimension")
-    X = data.samples
+    if data.n != factor.n:
+        raise SmwError(f"operator was built on {factor.n} training rows, got {data.n}")
     y = data.labels.astype(np.float64)
-    P = (X @ op.factor.d_matrix.T) @ op.factor.basis
-    G0 = X @ X.T + (P * op.weights) @ P.T
+    G0 = factor.xx + (factor.xp * op.weights) @ factor.xp.T
     G = y[:, None] * G0 * y[None, :]
     G = (G + G.T) / 2.0
     eigs = np.linalg.eigvalsh(G)

@@ -2,7 +2,8 @@
 library against: the KKT gap of a dual point, a grid search over tiny box
 QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
-bit for bit, and the explicit d x d scatter matrix."""
+bit for bit, the per-lambda Gram assembly that smw.gram must match bit for
+bit, and the explicit d x d scatter matrix."""
 
 from itertools import product
 
@@ -12,6 +13,7 @@ from psc.dataset import ClassStats, LabeledMatrix
 from psc.intercept import Projections
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
 from psc.scatter import beta
+from psc.smw import SmwError, SmwOperator
 
 
 def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:
@@ -158,6 +160,23 @@ def min_misclass_reference(p: Projections) -> float:
             best_key = key
             best = -threshold
     return float(best)
+
+
+def gram_reference(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
+    """smw.gram with X X^T and X D^T basis formed from data at every call."""
+    if data.d != op.factor.d:
+        raise SmwError("operator was built for a different dimension")
+    X = data.samples
+    y = data.labels.astype(np.float64)
+    P = (X @ op.factor.d_matrix.T) @ op.factor.basis
+    G0 = X @ X.T + (P * op.weights) @ P.T
+    G = y[:, None] * G0 * y[None, :]
+    G = (G + G.T) / 2.0
+    eigs = np.linalg.eigvalsh(G)
+    scale = max(abs(eigs[0]), abs(eigs[-1]), 1e-300)
+    if eigs[0] < -1e-8 * scale:
+        raise SmwError(f"Gram matrix not PSD (min eig {eigs[0]:.3e}); lambda too large or numerical breakdown")
+    return G
 
 
 def dense_scatter(data: LabeledMatrix, stats: ClassStats) -> np.ndarray:

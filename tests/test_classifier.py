@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,15 @@ class TestReadOnlyModel:
         assert np.array_equal(model.w, [1.0, 2.0])
         w[0] = np.nan
         assert np.array_equal(model.w, [1.0, 2.0])
+
+    def test_a_read_only_1d_w_is_shared_as_the_same_object(self):
+        # crossval reuses a validation score when a fit returns the same w
+        w = np.array([1.0, -2.0])
+        w.setflags(write=False)
+        model = LinearModel(w=w, b=0.5, method_tag="psc", c0=1.0)
+        assert model.w is w
+        assert replace(model, c0=2.0).w is w
+        assert replace(replace(model, c0=2.0), b=1.0).w is w
 
     @pytest.mark.parametrize("w, message", [
         ([1.0, np.nan], "non-finite"),

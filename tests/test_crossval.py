@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from psc import classifier, qp, smw
+from psc import classifier, crossval, qp, smw
 from psc.classifier import FitError, Hyperparams
 from psc.crossval import (
     ConfigError,
@@ -184,6 +185,72 @@ class TestSolveCount:
         assert len(solves) == config.outer_folds * (config.inner_folds * gammas + 1)
 
 
+class TestEvaluateCount:
+    """A grid cell whose fit returns the last scored model's w (the same
+    object) and an equal b reuses that model's validation score: evaluate
+    runs once per distinct model of an inner fold, and the choices are the
+    cell-by-cell search's."""
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    def test_one_evaluate_per_distinct_model(self, monkeypatch, method):
+        data = simulate_hdlss(200, 12, 18, seed=1)
+        config = ExperimentConfig(method=method, outer_folds=3, inner_folds=3, repeats=1, seed=1)
+        inner_fits, evaluations = [], []
+        real_fit = classifier.fit
+
+        def recording_fit(method, train, hp, **kwargs):
+            model = real_fit(method, train, hp, **kwargs)
+            if isinstance(train, classifier.TrainingSet):  # an inner fold's cell
+                inner_fits.append((train, model.w.tobytes(), model.b))
+            return model
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "fit", recording_fit)
+        monkeypatch.setattr(crossval, "evaluate", counting_evaluate)
+        out = cv_run(data, config)
+        # the list holds every inner set, so no two share an id
+        distinct = len({(id(ts), w, b) for ts, w, b in inner_fits})
+        assert distinct < len(inner_fits)  # the shape has memo hits to reuse
+        assert len(evaluations) == distinct + config.outer_folds + config.repeats + 1
+
+        outer = stratified_kfold(data.labels, config.outer_folds, seed=config.seed)
+        for f, fold in enumerate(out["repeats"][0]["folds"]):
+            idx = outer.train_indices(f)
+            train = LabeledMatrix(data.samples[idx], data.labels[idx])
+            expected = cell_by_cell_choice(train, config, config.seed + 100_003 + f)
+            assert (fold["gamma"], fold["c0"]) == expected
+
+    def test_a_shared_w_with_another_b_is_scored_anew(self, monkeypatch):
+        data = simulate_hdlss(20, 8, 6, seed=5)
+        va = np.concatenate([np.arange(0, 3), np.arange(10, 14)])
+        tr = np.setdiff1d(np.arange(data.n), va)
+        config = small_config(method="cssvm", c0_grid=(0.5, 1.0, 2.0, 4.0))
+        base = classifier.fit_rmdd(LabeledMatrix(data.samples[tr], data.labels[tr]))
+        dec = data.samples[va] @ base.w
+        # every validation row +1, the base rule, the base rule again, and
+        # every row -1: equal b's in a row share a score, the others do not
+        b_by_c0 = {0.5: -dec.min(), 1.0: base.b, 2.0: base.b, 4.0: -dec.max() - 1.0}
+        monkeypatch.setattr(classifier, "fit",
+                            lambda method, train, hp: replace(base, b=b_by_c0[hp.c0]))
+        evaluations = []
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(crossval, "evaluate", counting_evaluate)
+        scores = {hp: [] for hp in crossval._candidate_grid(config)}
+        crossval._score_inner_fold(data, tr, va, scores, config)
+        assert len(evaluations) == 3
+        for hp, got in scores.items():
+            want = evaluate(data.labels[va], dec + b_by_c0[hp.c0]).bccr
+            assert got == [want]
+        assert len({got[0] for got in scores.values()}) > 1
+
+
 class TestTuneAndFit:
     def test_never_touches_held_out_rows(self):
         # poison the held-out rows; training must succeed without reading them
@@ -211,12 +278,14 @@ class TestTuneAndFit:
 
 def cell_by_cell_choice(train, config, fold_seed):
     """The grid search written cell-outer: each cell fitted on every inner
-    fold in turn and dropped at its first failure."""
+    fold in turn, from the raw rows, and dropped at its first failure. Only
+    psc reads gamma, so the other methods search the first gamma only."""
     score = {"bccr": lambda rep: rep.bccr, "total_ccr": lambda rep: rep.total_ccr,
              "mwe": lambda rep: 1.0 - rep.mwe}[config.selection_metric]
     inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
     best_key, best = None, None
-    for gamma in config.gamma_grid:
+    gammas = config.gamma_grid if config.method == "psc" else config.gamma_grid[:1]
+    for gamma in gammas:
         for c0 in config.c0_grid:
             hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale,
                              tol=config.tol, max_iter=config.max_iter)
@@ -224,7 +293,8 @@ def cell_by_cell_choice(train, config, fold_seed):
             for f in range(config.inner_folds):
                 tr, va = inner.train_indices(f), inner.test_indices(f)
                 try:
-                    model = classifier.fit_psc(LabeledMatrix(train.samples[tr], train.labels[tr]), hp)
+                    model = classifier.fit(config.method,
+                                           LabeledMatrix(train.samples[tr], train.labels[tr]), hp)
                 except FitError:
                     scores = None
                     break

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,55 @@ class TestLoadCsv:
         again = load_csv(p1, "label", {"1"})
         assert np.array_equal(again.samples, data.samples)
         assert np.array_equal(again.labels, data.labels)
+
+    def test_cells_parse_to_float_bits_on_the_cv_psc_csv(self, tmp_path):
+        data = simulate_hdlss(2000, 22, 40, seed=3)
+        path = tmp_path / "cv.csv"
+        write_csv(data, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        expected = np.array([[float(cell) for cell in row[:-1]] for row in rows])
+        loaded = load_csv(path, "label", {"1"})
+        assert loaded.samples.tobytes() == expected.tobytes()
+        assert loaded.samples.tobytes() == data.samples.tobytes()
+
+    # whitespace, underscores, a bare fraction, signed zero, underflow to a
+    # subnormal and to zero, and non-ASCII digits all parse as float() does
+    EDGE_CELLS = [" 1.5 ", "1_000", "+.5", "\t-2e-3 ", "-0", "4.9e-324", "1e-400", "\uff11\uff12",
+                  "1e5_0", "0.1", "1.7976931348623157e308"]
+
+    def test_edge_cells_parse_to_float_bits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        header = [f"x{i}" for i in range(len(self.EDGE_CELLS))] + ["y"]
+        write_rows(path, header, [self.EDGE_CELLS + ["a"], self.EDGE_CELLS[::-1] + ["b"]])
+        loaded = load_csv(path, "y", {"a"})
+        expected = np.array([[float(c) for c in self.EDGE_CELLS],
+                             [float(c) for c in self.EDGE_CELLS[::-1]]])
+        assert loaded.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cell", ["1e400", "nan", "-inf", "Infinity"])
+    def test_a_non_finite_cell_reports_its_location(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_rows(path, ["x", "z", "y"], [[1, 2, "a"], [3, cell, "b"]])
+        with pytest.raises(DatasetError, match=rf"row 3, column 'z': non-finite value '{cell}'"):
+            load_csv(path, "y", {"a"})
+
+    @pytest.mark.parametrize("cells, message", [
+        (["inf", "oops"], "column 'x': non-finite value 'inf'"),
+        (["oops", "inf"], "column 'x': cannot parse 'oops'"),
+        (["1", "oops"], "column 'z': cannot parse 'oops'"),
+    ])
+    def test_the_first_bad_cell_in_column_order_is_reported(self, tmp_path, cells, message):
+        path = tmp_path / "t.csv"
+        write_rows(path, ["x", "y", "z"], [[1, "a", 2], [cells[0], "b", cells[1]]])
+        with pytest.raises(DatasetError, match=f"row 3, {message}"):
+            load_csv(path, "y", {"a"})
+
+    def test_a_non_finite_row_is_reported_before_a_later_unparseable_one(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, ["x", "y"], [[1, "a"], ["nan", "b"], ["oops", "b"]])
+        with pytest.raises(DatasetError, match="row 3, column 'x': non-finite value 'nan'"):
+            load_csv(path, "y", {"a"})
 
 
 class TestClassStats:

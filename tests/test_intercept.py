@@ -109,6 +109,12 @@ class TestMinMisclass:
         # recall; the smaller |threshold| wins
         assert min_misclass_intercept(Projections([-2e17], [1e17])) == -1e17
 
+    def test_a_midpoint_past_the_float_limit_stays_finite(self):
+        # (1e308 + 1.7e308) / 2 overflowed to a threshold of inf with a warning
+        assert min_misclass_intercept(Projections([1e308], [1.7e308])) == -1e308
+        b = min_misclass_intercept(Projections([1.7e308], [1e308]))  # the midpoint wins
+        assert b == -(1e308 / 2.0 + 1.7e308 / 2.0)
+
     def test_achieves_exhaustive_minimum(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
@@ -173,7 +179,36 @@ SCAN_FAMILIES = {
     "one_point_class": (one_point_class, 200),
     "shared_values": (shared_values, 200),
     "up_to_300": (up_to_300, 20),
+    # both signs near 1e308, where no sum, gap or difference overflows yet
+    "near_1e308": (each_class(lambda rng, k: rng.choice([-1.0, 1.0], k)
+                              * rng.choice(rng.uniform(0.5, 0.85, 4), k) * 1e308), 300),
 }
+
+
+def same_sign_near_the_limit(rng):
+    sign = rng.choice([-1.0, 1.0])
+    pool = rng.uniform(0.9, 1.79, rng.integers(1, 8)) * 1e308
+    n_pos, n_neg = rng.integers(1, 12, 2)
+    return sign * rng.choice(pool, n_pos), sign * rng.choice(pool, n_neg)
+
+
+def test_min_misclass_near_the_float_limit_is_the_reference_at_half_scale():
+    """Past 0.9e308 a midpoint can overflow; it is re-formed as a/2 + b/2.
+    Halving every value is exact there and so is the scan's choice, so the
+    threshold must be twice the reference's on the halved values."""
+    rng = np.random.default_rng(1308)
+    for _ in range(300):
+        pos, neg = same_sign_near_the_limit(rng)
+        got = min_misclass_intercept(Projections(pos, neg))
+        assert_same_bits(got, 2.0 * min_misclass_reference(Projections(pos / 2.0, neg / 2.0)))
+
+
+def test_min_misclass_of_huge_values_of_both_signs_is_finite():
+    rng = np.random.default_rng(2308)
+    for _ in range(200):
+        pos, neg = each_class(lambda rng, k: rng.choice([-1.0, 1.0], k)
+                              * rng.uniform(0.9, 1.79, k) * 1e308)(rng)
+        assert np.isfinite(min_misclass_intercept(Projections(pos, neg)))
 
 
 @pytest.mark.parametrize("seed, name", enumerate(SCAN_FAMILIES))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from psc.dataset import LabeledMatrix, class_stats
+from psc.crossval import DEFAULT_GAMMA_GRID
+from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss, stratified_kfold
 from psc.scatter import build_factor
-from psc.smw import SmwError, apply_inverse, build_operator, gram, lambda_cap
-from tests.oracles import dense_scatter
+from psc.smw import SmwError, SmwOperator, apply_inverse, build_operator, gram, lambda_cap
+from tests.oracles import dense_scatter, gram_reference
 from tests.test_scatter import random_instance
 
 SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
@@ -149,3 +150,57 @@ class TestGram:
         op = build_operator(scalar_factor(), 1e-3)
         with pytest.raises(SmwError, match="different dimension"):
             gram(op, LabeledMatrix([[1.0, 0.0], [0.0, 1.0]], [1, -1]))
+
+
+def assert_same_gram(op, data):
+    g, ref = gram(op, data), gram_reference(op, data)
+    assert g.dtype == ref.dtype and g.shape == ref.shape
+    assert g.tobytes() == ref.tobytes()
+
+
+class TestGramMatchesReference:
+    """The factor's X X^T and X D^T basis give the Gram bit for bit."""
+
+    def test_criterion_2_random_families(self):
+        # criterion 2's instances: n in [4, 20], d in [2, 50], every gamma
+        gammas = (0.1, 0.3, 0.5, 0.7, 0.9)
+        rng = np.random.default_rng(20240826)
+        for case in range(200):
+            n = int(rng.integers(4, 21))
+            d = int(rng.integers(2, 51))
+            n1 = int(rng.integers(2, n - 1))
+            data = LabeledMatrix(rng.standard_normal((n, d)), [1] * n1 + [-1] * (n - n1))
+            f = build_factor(data, class_stats(data))
+            assert_same_gram(build_operator(f, gammas[case % 5] * lambda_cap(f)), data)
+
+    def test_cv_psc_inner_set_at_every_default_gamma(self):
+        # outer fold 0 and inner fold 0 of psc cv's first repeat on the
+        # benchmark's 62 x 2000 data, rows in the order cv gives them
+        data = simulate_hdlss(2000, 22, 40, seed=3)
+        outer = stratified_kfold(data.labels, 5, seed=0).train_indices(0)
+        train = LabeledMatrix(data.samples[outer], data.labels[outer])
+        inner = stratified_kfold(train.labels, 4, seed=100_003).train_indices(0)
+        sub = LabeledMatrix(train.samples[inner], train.labels[inner])
+        f = build_factor(sub, class_stats(sub))
+        for gamma in DEFAULT_GAMMA_GRID:
+            assert_same_gram(build_operator(f, gamma * lambda_cap(f)), sub)
+
+    def test_the_psd_guard_fires_as_in_the_reference(self):
+        data = random_instance(33, d_max=40)
+        f = build_factor(data, class_stats(data))
+        op = SmwOperator(factor=f, weights=np.full(data.n + 1, -1e3))  # no lambda gives this
+        with pytest.raises(SmwError, match="not PSD") as ref:
+            gram_reference(op, data)
+        with pytest.raises(SmwError, match="not PSD") as got:
+            gram(op, data)
+        assert str(got.value) == str(ref.value)
+
+    def test_rows_other_than_the_factors_are_rejected(self):
+        data = random_instance(5, d_max=10)
+        op = build_operator(build_factor(data, class_stats(data)), 1e-3)
+        fewer = LabeledMatrix(data.samples[1:], data.labels[1:])
+        with pytest.raises(SmwError, match=f"built on {data.n} training rows, got {data.n - 1}"):
+            gram(op, fewer)
+        wider = LabeledMatrix(np.hstack([data.samples, data.samples]), data.labels)
+        with pytest.raises(SmwError, match="different dimension"):
+            gram(op, wider)
