@@ -63,7 +63,6 @@ class LinearModel:
     r_scale: float | None = None
     converged: bool = True
     kkt_residual: float = 0.0
-    seed_provenance: str | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
@@ -149,15 +148,14 @@ def _prepared(data: LabeledMatrix | TrainingSet) -> TrainingSet:
     return data if isinstance(data, TrainingSet) else prepare(data)
 
 
-def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
-            seed_provenance: str | None = None) -> LinearModel:
+def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     """Fit psc; a prepared TrainingSet shares its factor and its c0 path
     across many fits."""
     train = _prepared(data)
     key = ("psc", hp.gamma, hp.r_scale, hp.tol, hp.max_iter)
     model = train.recall(key, hp.c0)
     if model is not None:
-        return replace(model, c0=hp.c0, seed_provenance=seed_provenance)
+        return replace(model, c0=hp.c0)
     data, stats = train.data, train.stats
     cap = smw.lambda_cap(train.factor)
     if not math.isfinite(cap):
@@ -181,7 +179,6 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams,
         r_scale=hp.r_scale,
         converged=sol.converged,
         kkt_residual=sol.kkt_residual,
-        seed_provenance=seed_provenance,
     )
     if not sol.upper_active:
         train.memo[key] = (hp.c0, model)
@@ -194,7 +191,6 @@ def fit_cssvm(
     tol: float = qp.DEFAULT_TOL,
     max_iter: int = qp.DEFAULT_MAX_ITER,
     r_scale: float = intercept.DEFAULT_R,
-    seed_provenance: str | None = None,
 ) -> LinearModel:
     """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram).
     Its Gram has no c0, so a prepared TrainingSet shares one dual solve
@@ -232,14 +228,12 @@ def fit_cssvm(
         r_scale=r_scale,
         converged=sol.converged,
         kkt_residual=sol.kkt_residual,
-        seed_provenance=seed_provenance,
     )
 
 
 def fit_rmdd(
     data: LabeledMatrix | TrainingSet,
     r_scale: float = intercept.DEFAULT_R,
-    seed_provenance: str | None = None,
 ) -> LinearModel:
     """Unit-norm class-mean difference direction with the adaptive intercept."""
     if not r_scale > 0:  # also rejects NaN
@@ -259,26 +253,24 @@ def fit_rmdd(
         n1=stats.n1,
         n2=stats.n2,
         r_scale=r_scale,
-        seed_provenance=seed_provenance,
     )
 
 
 METHODS = ("psc", "cssvm", "rmdd")
 
 
-def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams,
-        seed_provenance: str | None = None) -> LinearModel:
+def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     """Fit one of METHODS with the settings in hp. psc reads all of them,
     cssvm reads c0, tol, max_iter and r_scale, and rmdd reads only r_scale.
     data may be a prepared TrainingSet, which psc and cssvm fits on it share
     (see TrainingSet)."""
     if method == "psc":
-        return fit_psc(data, hp, seed_provenance=seed_provenance)
+        return fit_psc(data, hp)
     if method == "cssvm":
         return fit_cssvm(data, c0=hp.c0, tol=hp.tol, max_iter=hp.max_iter,
-                         r_scale=hp.r_scale, seed_provenance=seed_provenance)
+                         r_scale=hp.r_scale)
     if method == "rmdd":
-        return fit_rmdd(data, r_scale=hp.r_scale, seed_provenance=seed_provenance)
+        return fit_rmdd(data, r_scale=hp.r_scale)
     raise FitError(f"unknown method {method!r}")
 
 
@@ -309,19 +301,48 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
+    """Read a model that save_model wrote; a file that is not one raises
+    FitError naming the path. Keys save_model does not write are ignored."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=float)  # so every JSON number is a float
+
+    def bad(problem: str) -> FitError:
+        return FitError(f"{path}: {problem}")
+
+    if not isinstance(doc, dict):
+        raise bad("a model file holds one JSON object")
+    for key in ("w", "b", "method_tag"):
+        if key not in doc:
+            raise bad(f"missing key {key!r}")
+    w = doc["w"]
+    if not (isinstance(w, list) and all(isinstance(v, float) for v in w)):
+        raise bad("w must be a list of numbers")
+    if "d" in doc and not (isinstance(doc["d"], float) and doc["d"] == len(w)):
+        raise bad(f"d is {doc['d']!r} but w has {len(w)} entries")
+    if not isinstance(doc["method_tag"], str):
+        raise bad(f"method_tag must be a string, got {doc['method_tag']!r}")
+    numbers = {"b": doc["b"], "kkt_residual": doc.get("kkt_residual", 0.0)}
+    settings = {key: doc.get(key) for key in ("gamma", "lambda", "c0", "r_scale")}
+    counts = {key: doc.get(key, 0.0) for key in ("n1", "n2")}
+    for key, value in (numbers | settings).items():
+        if not (isinstance(value, float) or (key in settings and value is None)):
+            raise bad(f"{key} must be a number, got {value!r}")
+    for key, value in counts.items():
+        if not (isinstance(value, float) and value.is_integer()):
+            raise bad(f"{key} must be a whole number, got {value!r}")
+    converged = doc.get("converged", True)
+    if not isinstance(converged, bool):
+        raise bad(f"converged must be true or false, got {converged!r}")
     return LinearModel(
-        w=np.asarray(doc["w"], dtype=np.float64),
-        b=float(doc["b"]),
+        w=np.asarray(w, dtype=np.float64),
+        b=numbers["b"],
         method_tag=doc["method_tag"],
-        n1=int(doc.get("n1") or 0),
-        n2=int(doc.get("n2") or 0),
-        gamma=doc.get("gamma"),
-        lam=doc.get("lambda"),
-        c0=doc.get("c0"),
-        r_scale=doc.get("r_scale"),
-        converged=bool(doc.get("converged", True)),
-        kkt_residual=float(doc.get("kkt_residual", 0.0)),
-        seed_provenance=doc.get("seed_provenance"),
+        n1=int(counts["n1"]),
+        n2=int(counts["n2"]),
+        gamma=settings["gamma"],
+        lam=settings["lambda"],
+        c0=settings["c0"],
+        r_scale=settings["r_scale"],
+        converged=converged,
+        kkt_residual=numbers["kkt_residual"],
     )

@@ -46,7 +46,7 @@ def cmd_fit(args) -> int:
     data = _load(args.train, args.label_column, args.positive)
     hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale,
                      tol=args.tol, max_iter=args.max_iter)
-    model = classifier.fit(args.method, data, hp, seed_provenance=f"seed={args.seed}")
+    model = classifier.fit(args.method, data, hp)
     classifier.save_model(model, args.out)
     print(f"fitted {args.method} on {data.n} x {data.d}; model written to {args.out}")
     if not model.converged:
@@ -71,7 +71,19 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     with open(args.pred, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        decisions = np.array([float(row["decision"]) for row in reader])
+        if "decision" not in (reader.fieldnames or ()):
+            raise metrics.MetricsError(f"{args.pred}: no 'decision' column in the header")
+        decisions = []
+        for row in reader:
+            cell = row["decision"]
+            if cell is None:  # the row ends before the decision column
+                raise metrics.MetricsError(f"{args.pred}: row {reader.line_num} has no decision")
+            try:
+                decisions.append(float(cell))
+            except ValueError:
+                raise metrics.MetricsError(
+                    f"{args.pred}: row {reader.line_num}: cannot parse decision {cell!r}") from None
+        decisions = np.array(decisions)
     truth = _load(args.truth, args.label_column, args.positive)
     report = metrics.evaluate(truth.labels, decisions)
     _write_json(dataclasses.asdict(report), args.out)
@@ -168,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-scale", type=float, default=Hyperparams.r_scale)
     p.add_argument("--tol", type=float, default=Hyperparams.tol)
     p.add_argument("--max-iter", type=int, default=Hyperparams.max_iter)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

@@ -107,7 +107,7 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
             del scores[hp]
             continue
         if last is None or model.w is not last[0] or model.b != last[1]:
-            dec = val_samples @ model.w + model.b
+            dec = classifier.decision(model, val_samples)
             last = (model.w, model.b, _score(evaluate(val_labels, dec), config.selection_metric))
         scores[hp].append(last[2])
 
@@ -162,7 +162,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
             except (*FIT_ERRORS, DatasetError) as exc:  # or too few rows for the inner folds
                 fold_reports.append({"repeat": rep, "fold": f, "error": str(exc)})
                 continue
-            dec = samples[test_idx] @ model.w + model.b
+            dec = classifier.decision(model, samples[test_idx])
             report = evaluate(labels[test_idx], dec)
             fold_reports.append({
                 "repeat": rep,

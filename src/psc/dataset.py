@@ -76,8 +76,7 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    assignments: np.ndarray  # fold index in [0, k) per sample
+    assignments: np.ndarray  # fold index in [0, k) per sample, for k folds
 
     def __post_init__(self):
         object.__setattr__(
@@ -201,7 +200,7 @@ def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
             raise DatasetError(f"class {cls:+d} has {idx.size} samples, fewer than k={k}")
         perm = rng.permutation(idx)
         assignments[perm] = np.arange(perm.size) % k
-    return FoldPlan(k=k, assignments=assignments)
+    return FoldPlan(assignments=assignments)
 
 
 def simulate_hdlss(d: int, n_pos: int, n_neg: int, seed: int) -> LabeledMatrix:

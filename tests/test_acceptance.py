@@ -290,7 +290,7 @@ def test_criterion_9_subcommand_determinism(tmp_path):
         main(["simulate", "--d", "30", "--n-pos", "20", "--n-neg", "8",
               "--seed", "5", "--out", str(root / "train.csv")])
         main(["fit", "--train", str(root / "train.csv"), "--gamma", "0.5",
-              "--c0", "1.0", "--seed", "5", "--out", str(root / "model.json")])
+              "--c0", "1.0", "--out", str(root / "model.json")])
         main(["predict", "--model", str(root / "model.json"),
               "--data", str(root / "train.csv"), "--out", str(root / "preds.csv")])
         main(["evaluate", "--pred", str(root / "preds.csv"),

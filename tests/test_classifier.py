@@ -227,14 +227,13 @@ class TestFitDispatch:
         data = simulate_hdlss(30, 12, 6, seed=4)
         hp = Hyperparams(gamma=0.3, c0=2.0, r_scale=1.5, tol=1e-7, max_iter=5000)
         direct = {
-            "psc": fit_psc(data, hp, seed_provenance="s"),
-            "cssvm": fit_cssvm(data, c0=2.0, tol=1e-7, max_iter=5000, r_scale=1.5,
-                               seed_provenance="s"),
-            "rmdd": fit_rmdd(data, r_scale=1.5, seed_provenance="s"),
+            "psc": fit_psc(data, hp),
+            "cssvm": fit_cssvm(data, c0=2.0, tol=1e-7, max_iter=5000, r_scale=1.5),
+            "rmdd": fit_rmdd(data, r_scale=1.5),
         }
         assert tuple(direct) == classifier.METHODS
         for method, want in direct.items():
-            got = classifier.fit(method, data, hp, seed_provenance="s")
+            got = classifier.fit(method, data, hp)
             assert got.w.tobytes() == want.w.tobytes()
             assert got.b == want.b
             assert model_to_dict(got) == model_to_dict(want)
@@ -399,5 +398,11 @@ class TestSerialization:
     def test_dict_fields(self):
         d = model_to_dict(fit_psc(simulate_hdlss(10, 5, 3, seed=1), HP))
         for key in ("method_tag", "d", "w", "b", "n1", "n2", "gamma", "lambda",
-                    "c0", "r_scale", "converged", "kkt_residual", "seed_provenance"):
+                    "c0", "r_scale", "converged", "kkt_residual"):
             assert key in d
+
+    @pytest.mark.parametrize("method", classifier.METHODS)
+    def test_a_model_records_only_the_rule_and_its_settings(self, method):
+        d = model_to_dict(classifier.fit(method, simulate_hdlss(10, 5, 3, seed=1), HP))
+        assert set(d) == {"method_tag", "d", "w", "b", "n1", "n2", "gamma", "lambda",
+                          "c0", "r_scale", "converged", "kkt_residual"}

@@ -101,6 +101,12 @@ class TestFlagDefaults:
         demo = build_parser().parse_args(["demo-fig1", "--out-dir", "fig1"])
         assert (demo.gamma, demo.c0) == (hp.gamma, hp.c0)
 
+    def test_fit_has_no_seed_flag(self):
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["fit", "--train", "t.csv", "--seed", "1",
+                                       "--out", "m.json"])
+        assert caught.value.code == 2
+
     def test_fit_checks_settings_for_every_method(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         run("simulate", "--d", 5, "--n-pos", 6, "--n-neg", 4, "--seed", 0, "--out", data)
@@ -276,7 +282,7 @@ class TestErrorsAndDeterminism:
             run("simulate", "--d", 12, "--n-pos", 10, "--n-neg", 6, "--seed", 4,
                 "--out", d / "data.csv")
             run("fit", "--train", d / "data.csv", "--gamma", 0.3, "--c0", 2.0,
-                "--seed", 4, "--out", d / "model.json")
+                "--out", d / "model.json")
             run("cv", "--data", d / "data.csv", "--repeats", 2,
                 "--outer-folds", 2, "--inner-folds", 2,
                 "--gamma-grid", "0.3,0.7", "--c0-grid", "0.5,2.0",
@@ -288,3 +294,87 @@ class TestErrorsAndDeterminism:
                 "rep0": (d / "cv" / "repeat_000.json").read_bytes(),
             }
         assert files["x"] == files["y"]
+
+
+class TestModelAndPredictionFiles:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        run("simulate", "--d", 6, "--n-pos", 8, "--n-neg", 5, "--seed", 2, "--out", data)
+        assert run("fit", "--train", data, "--out", model) == 0
+        return data, model
+
+    def test_a_model_file_with_a_seed_provenance_key_still_loads(self, tmp_path, saved):
+        # model.json files written before the key was dropped carry it
+        data, model = saved
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(json.loads(model.read_text()) | {"seed_provenance": "seed=0"}))
+        got, want = classifier.load_model(legacy), classifier.load_model(model)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert classifier.model_to_dict(got) == classifier.model_to_dict(want)
+        outputs = []
+        for name, path in (("now", model), ("legacy", legacy)):
+            assert run("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / f"{name}.csv") == 0
+            outputs.append((tmp_path / f"{name}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def predict_with(tmp_path, capsys, data, doc) -> str:
+        """Run predict on a model file holding doc; return stderr."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("predict", "--model", path, "--data", data, "--out", tmp_path / "p.csv") == 1
+        assert not (tmp_path / "p.csv").exists()
+        return capsys.readouterr().err.replace(f"{path}: ", "<path>: ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "a model file holds one JSON object"),
+        ({"b": 0.0, "method_tag": "psc"}, "missing key 'w'"),
+    ])
+    def test_predict_rejects_a_file_that_holds_no_model(self, tmp_path, capsys, saved,
+                                                        doc, message):
+        assert f"error: <path>: {message}" in self.predict_with(tmp_path, capsys, saved[0], doc)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"b": None}, "b must be a number, got None"),
+        ({"kkt_residual": "0"}, "kkt_residual must be a number, got '0'"),
+        ({"c0": True}, "c0 must be a number, got True"),
+        ({"w": {"a": 1}}, "w must be a list of numbers"),
+        ({"converged": "false"}, "converged must be true or false, got 'false'"),
+        ({"n1": 2.7}, "n1 must be a whole number, got 2.7"),
+        ({"n2": None}, "n2 must be a whole number, got None"),
+        ({"d": 7}, "d is 7.0 but w has 6 entries"),
+        ({"method_tag": 1}, "method_tag must be a string, got 1.0"),
+    ])
+    def test_predict_rejects_a_malformed_model(self, tmp_path, capsys, saved, changes, message):
+        data, model = saved
+        doc = json.loads(model.read_text()) | changes
+        assert f"error: <path>: {message}" in self.predict_with(tmp_path, capsys, data, doc)
+
+    def test_a_model_with_null_settings_and_no_counts_loads(self, tmp_path, saved):
+        _, model = saved
+        doc = json.loads(model.read_text())
+        for key in ("n1", "n2", "d", "converged", "kkt_residual"):
+            del doc[key]
+        loaded = tmp_path / "loaded.json"
+        loaded.write_text(json.dumps(doc | {"gamma": None, "lambda": None, "n1": 3}))
+        got = classifier.load_model(loaded)
+        assert (got.gamma, got.lam, got.n1, got.n2, got.converged, got.kkt_residual) == (
+            None, None, 3, 0, True, 0.0)
+        assert type(got.n1) is int and type(got.b) is float
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,prediction\n0,1\n", "no 'decision' column in the header"),
+        ("", "no 'decision' column in the header"),
+        ("id,decision,prediction\n0\n", "row 2 has no decision"),
+        ("id,decision,prediction\n0,0.5,1\n1,high,1\n", "row 3: cannot parse decision 'high'"),
+    ])
+    def test_evaluate_rejects_a_malformed_predictions_file(self, tmp_path, capsys, saved,
+                                                           text, message):
+        data, _ = saved
+        preds = tmp_path / "preds.csv"
+        preds.write_text(text)
+        rc = run("evaluate", "--pred", preds, "--truth", data, "--out", tmp_path / "r.json")
+        assert rc == 1
+        assert f"error: {preds}: {message}" in capsys.readouterr().err

@@ -128,7 +128,7 @@ class TestCvRun:
 
     @pytest.mark.parametrize("error", [FitError, smw.SmwError, qp.QpError, InterceptError])
     def test_a_fit_failure_fails_the_cell(self, monkeypatch, error):
-        def failing_fit(train, hp, seed_provenance=None):
+        def failing_fit(train, hp):
             raise error("cannot fit")
 
         monkeypatch.setattr(classifier, "fit_psc", failing_fit)
@@ -136,7 +136,7 @@ class TestCvRun:
             cv_run(simulate_hdlss(20, 8, 6, seed=5), small_config(repeats=1))
 
     def test_any_other_error_in_a_fit_propagates(self, monkeypatch):
-        def broken_fit(train, hp, seed_provenance=None):
+        def broken_fit(train, hp):
             raise ValueError("shapes (3,) and (4,) not aligned")
 
         monkeypatch.setattr(classifier, "fit_psc", broken_fit)
@@ -325,12 +325,12 @@ class TestFoldOuterGrid:
         real_fit = classifier.fit_psc
         calls = []
 
-        def fit_failing_once(train, hp, seed_provenance=None):
+        def fit_failing_once(train, hp):
             rows = train.data if isinstance(train, classifier.TrainingSet) else train
             calls.append((hp.gamma, hp.c0))
             if (hp.gamma, hp.c0) == winner and mark not in rows.samples[:, 0]:
                 raise FitError("injected failure")
-            return real_fit(train, hp, seed_provenance=seed_provenance)
+            return real_fit(train, hp)
 
         monkeypatch.setattr(classifier, "fit_psc", fit_failing_once)
         _, chosen = tune_and_fit(data.samples, data.labels, everything, config, fold_seed)
