@@ -303,11 +303,14 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     """Read a model that save_model wrote; a file that is not one raises
     FitError naming the path. Keys save_model does not write are ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, parse_int=float)  # so every JSON number is a float
-
     def bad(problem: str) -> FitError:
         return FitError(f"{path}: {problem}")
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_int=float)  # so every JSON number is a float
+        except ValueError as exc:  # a JSON syntax or a UTF-8 decoding error
+            raise bad(f"not a JSON file: {exc}") from None
 
     if not isinstance(doc, dict):
         raise bad("a model file holds one JSON object")

@@ -97,7 +97,10 @@ def cmd_cv(args) -> int:
     config_doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config_doc = json.load(fh)
+            try:
+                config_doc = json.load(fh)
+            except ValueError as exc:  # a JSON syntax or a UTF-8 decoding error
+                raise crossval.ConfigError(f"{args.config}: not a JSON file: {exc}") from None
     if not isinstance(config_doc, dict):
         raise crossval.ConfigError("a config file holds one JSON object")
     fields = ExperimentConfig.__dataclass_fields__

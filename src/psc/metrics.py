@@ -93,8 +93,9 @@ def roc_curve(labels: np.ndarray, decisions: np.ndarray):
     order = np.argsort(-decisions, kind="stable")
     sorted_dec = decisions[order]
     sorted_pos = pos[order]
-    # last index of each distinct decision value in descending order
-    distinct_last = np.flatnonzero(np.diff(sorted_dec) != 0.0)
+    # last index of each distinct decision value in descending order; a
+    # comparison, not a difference, so that equal infinities tie
+    distinct_last = np.flatnonzero(sorted_dec[1:] != sorted_dec[:-1])
     distinct_last = np.append(distinct_last, labels.size - 1)
     tp_cum = np.cumsum(sorted_pos)
     fp_cum = np.cumsum(~sorted_pos)

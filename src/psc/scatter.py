@@ -1,7 +1,11 @@
 """Population scatter structure: the combined matrix beta*S_B + S_W, its
 low-rank factorization D^T diag(L_tau) D, the spectrum of that factor, and
 the training rows' lambda-free Gram products, which the SMW operator shares
-across every lambda."""
+across every lambda.
+
+Every row of D is a fixed combination of training rows, D = E X, so all of
+it is computed in n-space from one n x n Gram of the mean-centred rows; no
+(n+1) x d matrix is formed."""
 
 from __future__ import annotations
 
@@ -17,19 +21,23 @@ from .dataset import ClassStats, LabeledMatrix
 class PopulationFactor:
     """Factor of beta*S_B + S_W.
 
-    Rows 0..n-1 of d_matrix are x_i - u_class(i) in class order (all +1 rows
-    first); the last row is u1 - u2. l_tau holds 1/n1, 1/n2 and beta on the
+    D = E X, where X holds the training rows (samples, in the data's row
+    order) and E the (n+1) x n centring weights: row k < n of D is
+    x_i - u_class(i) for the k-th training row in class order (all +1 rows
+    first), and the last row is u1 - u2. Every row of E sums to zero, so
+    D = E (X - 1 r^T) for any r. l_tau holds 1/n1, 1/n2 and beta on the
     matching rows.
 
     With C = diag(sqrt(l_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
     has the nonzero eigenvalues of C^T C = beta*S_B + S_W. spectrum is
     ascending and basis is diag(sqrt(l_tau)) U, so C^T U = D^T basis.
 
-    xx = X X^T and xp = X D^T basis are the products of the training rows X
-    (in the data's row order) that every lambda's dual Gram shares.
+    xx = X X^T and xp = X D^T basis are the products of the training rows
+    that every lambda's dual Gram shares.
     """
 
-    d_matrix: np.ndarray  # (n+1, d)
+    samples: np.ndarray  # (n, d) the training rows, read-only, not a copy
+    e_matrix: np.ndarray  # (n+1, n) centring weights, D = E X
     l_tau: np.ndarray  # (n+1,)
     beta: float
     n1: int
@@ -45,7 +53,7 @@ class PopulationFactor:
 
     @property
     def d(self) -> int:
-        return self.d_matrix.shape[1]
+        return self.samples.shape[1]
 
 
 def beta(n1: int, n2: int) -> float:
@@ -57,24 +65,36 @@ def beta(n1: int, n2: int) -> float:
 
 
 def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
+    n, n1, n2 = data.n, stats.n1, stats.n2
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
-    b = beta(stats.n1, stats.n2)
-    D = np.empty((data.n + 1, data.d))
-    D[: stats.n1] = data.samples[pos] - stats.u1
-    D[stats.n1 : data.n] = data.samples[neg] - stats.u2
-    D[data.n] = stats.u1 - stats.u2
-    l_tau = np.empty(data.n + 1)
-    l_tau[: stats.n1] = 1.0 / stats.n1
-    l_tau[stats.n1 : data.n] = 1.0 / stats.n2
-    l_tau[data.n] = b
+    b = beta(n1, n2)
+    E = np.zeros((n + 1, n))
+    E[:n1, pos] = -1.0 / n1
+    E[n1:n, neg] = -1.0 / n2
+    E[np.arange(n), np.concatenate([pos, neg])] += 1.0
+    E[n, pos] = 1.0 / n1
+    E[n, neg] = -1.0 / n2
+    l_tau = np.empty(n + 1)
+    l_tau[:n1] = 1.0 / n1
+    l_tau[n1:n] = 1.0 / n2
+    l_tau[n] = b
+    # The one d-space step: centre on the training mean r, so that E K E^T
+    # does not cancel a large common offset, and form K = Xc Xc^T.
+    r = (n1 * stats.u1 + n2 * stats.u2) / n
+    Xc = data.samples - r
+    K = Xc @ Xc.T
+    g = Xc @ r
+    EK = E @ K
     sqrt_l = np.sqrt(l_tau)
-    C = D * sqrt_l[:, None]
-    A = C @ C.T
+    A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]
     spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
     basis = sqrt_l[:, None] * U
-    X = data.samples
+    # X = Xc + 1 r^T, so X X^T = K + g 1^T + 1 g^T + r^T r and
+    # X D^T = X Xc^T E^T = (K + 1 g^T) E^T
     return PopulationFactor(
-        d_matrix=D, l_tau=l_tau, beta=b, n1=stats.n1, n2=stats.n2,
-        spectrum=spectrum, basis=basis, xx=X @ X.T, xp=(X @ D.T) @ basis,
+        samples=data.samples, e_matrix=E, l_tau=l_tau, beta=b, n1=n1, n2=n2,
+        spectrum=spectrum, basis=basis,
+        xx=K + g[:, None] + g[None, :] + r @ r,
+        xp=(EK.T + (E @ g)[None, :]) @ basis,
     )

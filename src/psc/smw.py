@@ -8,7 +8,9 @@ set, and every lambda shares it:
 
 The PD cap is 1/max(s), and for any lam below it the dual Gram is
 y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. The
-factor carries X X^T and P, so a lambda costs n-space work only. No d x d
+factor carries X X^T and P, so a lambda costs n-space work only. D = E X is
+never formed either: M V applies it as E (X V) and D^T as X^T (E^T z), so
+the only d-length work is two products with the n training rows. No d x d
 matrix is ever materialized, and no matrix is factored per lambda.
 """
 
@@ -60,9 +62,9 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=np.float64)
     if V.shape[0] != op.factor.d:
         raise SmwError(f"dimension mismatch: operator is {op.factor.d}-dimensional, got {V.shape[0]}")
-    D, Q = op.factor.d_matrix, op.factor.basis
+    X, E, Q = op.factor.samples, op.factor.e_matrix, op.factor.basis
     weights = op.weights if V.ndim == 1 else op.weights[:, None]
-    return V + D.T @ (Q @ (weights * (Q.T @ (D @ V))))
+    return V + X.T @ (E.T @ (Q @ (weights * (Q.T @ (E @ (X @ V))))))
 
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:

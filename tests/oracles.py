@@ -2,14 +2,15 @@
 library against: the KKT gap of a dual point, a grid search over tiny box
 QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
-bit for bit, the per-lambda Gram assembly that smw.gram must match bit for
-bit, and the explicit d x d scatter matrix."""
+bit for bit, the d-space scatter factor with the lambda cap and the Gram
+formed from it, which scatter.build_factor's n-space path must match within
+stated bounds, and the explicit d x d scatter matrix."""
 
 from itertools import product
 
 import numpy as np
 
-from psc.dataset import ClassStats, LabeledMatrix
+from psc.dataset import ClassStats, LabeledMatrix, class_stats
 from psc.intercept import Projections
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
 from psc.scatter import beta
@@ -162,13 +163,35 @@ def min_misclass_reference(p: Projections) -> float:
     return float(best)
 
 
+def scatter_rows(data: LabeledMatrix, stats: ClassStats) -> tuple[np.ndarray, np.ndarray]:
+    """The (n+1) x d factor D of beta*S_B + S_W formed in d-space, with its
+    row weights l_tau: x - u_class(x) for the +1 rows, then for the -1 rows
+    (each class in data order), then u1 - u2."""
+    pos = data.labels == 1
+    D = np.vstack([data.samples[pos] - stats.u1, data.samples[~pos] - stats.u2,
+                   stats.u1 - stats.u2])
+    l_tau = np.concatenate([np.full(stats.n1, 1.0 / stats.n1), np.full(stats.n2, 1.0 / stats.n2),
+                            [beta(stats.n1, stats.n2)]])
+    return D, l_tau
+
+
+def lambda_cap_reference(data: LabeledMatrix, stats: ClassStats) -> float:
+    """1 / the largest eigenvalue of C C^T, C = diag(sqrt(l_tau)) D, from the
+    d-space rows of scatter_rows."""
+    D, l_tau = scatter_rows(data, stats)
+    C = np.sqrt(l_tau)[:, None] * D
+    return 1.0 / float(np.linalg.eigvalsh(C @ C.T)[-1])
+
+
 def gram_reference(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
-    """smw.gram with X X^T and X D^T basis formed from data at every call."""
+    """smw.gram with X X^T and X D^T basis formed at every call from data and
+    the d-space rows of scatter_rows, and the operator's basis and weights."""
     if data.d != op.factor.d:
         raise SmwError("operator was built for a different dimension")
     X = data.samples
     y = data.labels.astype(np.float64)
-    P = (X @ op.factor.d_matrix.T) @ op.factor.basis
+    D, _ = scatter_rows(data, class_stats(data))
+    P = (X @ D.T) @ op.factor.basis
     G0 = X @ X.T + (P * op.weights) @ P.T
     G = y[:, None] * G0 * y[None, :]
     G = (G + G.T) / 2.0

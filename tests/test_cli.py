@@ -249,6 +249,16 @@ class TestErrorsAndDeterminism:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_a_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        run("simulate", "--d", 15, "--n-pos", 12, "--n-neg", 8, "--seed", 5, "--out", data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1")
+        rc = run("cv", "--data", data, "--config", cfg, "--out-dir", tmp_path / "cv")
+        assert rc == 1
+        assert f"error: {cfg}: not a JSON file: Expecting ',' delimiter" in capsys.readouterr().err
+        assert not (tmp_path / "cv").exists()
+
     def test_c0_grid_order_changes_neither_artifacts_nor_solves(self, tmp_path, monkeypatch):
         data = tmp_path / "data.csv"
         run("simulate", "--d", 150, "--n-pos", 10, "--n-neg", 14, "--seed", 3, "--out", data)
@@ -351,6 +361,26 @@ class TestModelAndPredictionFiles:
         data, model = saved
         doc = json.loads(model.read_text()) | changes
         assert f"error: <path>: {message}" in self.predict_with(tmp_path, capsys, data, doc)
+
+    def test_predict_names_a_model_file_that_is_not_json(self, tmp_path, capsys, saved):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        assert run("predict", "--model", path, "--data", saved[0], "--out", tmp_path / "p.csv") == 1
+        assert f"error: {path}: not a JSON file: Expecting property name" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_evaluate_ties_equal_infinite_decisions(self, tmp_path, capsys):
+        # inf - inf is NaN, so a difference split the tie and read auc=1.0
+        truth, preds = tmp_path / "truth.csv", tmp_path / "preds.csv"
+        truth.write_text("label,x\n" + "1,0\n" * 15 + "-1,0\n" * 15)
+        preds.write_text("id,decision,prediction\n" + "".join(f"{i},inf,1\n" for i in range(30)))
+        rc = run("evaluate", "--pred", preds, "--truth", truth, "--out", tmp_path / "r.json",
+                 "--roc-out", tmp_path / "roc.csv")
+        assert rc == 0
+        assert "auc=0.5" in capsys.readouterr().out
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["auc"] == 0.5 and report["roc"] == [[0.0, 0.0], [1.0, 1.0]]
+        assert (tmp_path / "roc.csv").read_text().splitlines() == ["fpr,tpr", "0,0", "1,1"]
 
     def test_a_model_with_null_settings_and_no_counts_loads(self, tmp_path, saved):
         _, model = saved

@@ -99,6 +99,20 @@ class TestEvaluate:
         # sign(0) = +1: every sample predicted positive
         assert rep.confusion.tp == 2 and rep.confusion.fp == 2
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_equal_infinite_decisions_tie(self, value):
+        labels = np.array([1] * 15 + [-1] * 15)
+        rep = evaluate(labels, np.full(30, value))
+        assert rep.auc == 0.5
+        assert rep.roc == [(0.0, 0.0), (1.0, 1.0)]
+
+    def test_infinite_decisions_rank_with_the_finite_ones(self):
+        labels = np.array([1, 1, 1, -1, -1, -1])
+        decisions = np.array([np.inf, np.inf, 0.5, 0.5, -np.inf, -np.inf])
+        rep = evaluate(labels, decisions)
+        assert rep.roc == [(0.0, 0.0), (0.0, 2 / 3), (1 / 3, 1.0), (1.0, 1.0)]
+        assert rep.auc == pytest.approx(17 / 18, abs=1e-15)
+
     def test_boundary_prediction_positive(self):
         rep = evaluate(np.array([1, -1]), np.array([0.0, -1.0]))
         assert rep.confusion.tp == 1 and rep.confusion.tn == 1

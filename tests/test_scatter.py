@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss
 from psc.scatter import beta, build_factor
-from tests.oracles import dense_scatter
+from tests.oracles import dense_scatter, scatter_rows
 
 
 def random_instance(seed, n_min=4, n_max=12, d_max=6):
@@ -48,7 +48,8 @@ class TestBuildFactor:
         # classes {0,2} and {5,7}: S_W = 2, S_B = 25, beta = 1 -> 27
         data = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
         f = build_factor(data, class_stats(data))
-        dense = f.d_matrix.T @ np.diag(f.l_tau) @ f.d_matrix
+        D = f.e_matrix @ data.samples
+        dense = D.T @ np.diag(f.l_tau) @ D
         assert dense[0, 0] == pytest.approx(27.0, abs=1e-12)
         assert dense_scatter(data, class_stats(data))[0, 0] == pytest.approx(27.0, abs=1e-12)
 
@@ -56,13 +57,14 @@ class TestBuildFactor:
         data = LabeledMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]],
                              [1, 1, -1, -1])
         f = build_factor(data, class_stats(data))
-        assert np.all(f.d_matrix[-1] == 0.0)
+        assert np.all((f.e_matrix @ data.samples)[-1] == 0.0)
 
     def test_centering_rows(self):
         data = random_instance(3)
         f = build_factor(data, class_stats(data))
-        assert np.abs(f.d_matrix[: f.n1].sum(axis=0)).max() < 1e-12
-        assert np.abs(f.d_matrix[f.n1: -1].sum(axis=0)).max() < 1e-12
+        D = f.e_matrix @ data.samples
+        assert np.abs(D[: f.n1].sum(axis=0)).max() < 1e-12
+        assert np.abs(D[f.n1: -1].sum(axis=0)).max() < 1e-12
 
     def test_l_tau_positive_and_layout(self):
         data = random_instance(4)
@@ -73,12 +75,24 @@ class TestBuildFactor:
         assert np.allclose(f.l_tau[s.n1: -1], 1.0 / s.n2)
         assert f.l_tau[-1] == f.beta
 
+    def test_rows_match_the_d_space_rows(self):
+        # D = E X: E's rows sum to zero and rebuild scatter_rows' D
+        for seed in range(20):
+            data = random_instance(seed)
+            s = class_stats(data)
+            f = build_factor(data, s)
+            D, l_tau = scatter_rows(data, s)
+            assert np.abs(f.e_matrix.sum(axis=1)).max() < 1e-14
+            assert np.abs(f.e_matrix @ data.samples - D).max() <= 1e-12 * max(np.abs(D).max(), 1.0)
+            assert np.array_equal(f.l_tau, l_tau)
+
     def test_matches_dense_random(self):
         for seed in range(20):
             data = random_instance(seed)
             s = class_stats(data)
             f = build_factor(data, s)
-            lowrank = f.d_matrix.T @ (f.l_tau[:, None] * f.d_matrix)
+            D = f.e_matrix @ data.samples
+            lowrank = D.T @ (f.l_tau[:, None] * D)
             dense = dense_scatter(data, s)
             scale = max(np.linalg.norm(dense), 1.0)
             assert np.linalg.norm(lowrank - dense) <= 1e-10 * scale
@@ -114,6 +128,7 @@ def test_factor_dense_equivalence_property(seed):
     data = random_instance(seed)
     s = class_stats(data)
     f = build_factor(data, s)
-    lowrank = f.d_matrix.T @ (f.l_tau[:, None] * f.d_matrix)
+    D = f.e_matrix @ data.samples
+    lowrank = D.T @ (f.l_tau[:, None] * D)
     dense = dense_scatter(data, s)
     assert np.linalg.norm(lowrank - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)

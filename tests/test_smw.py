@@ -5,7 +5,7 @@ from psc.crossval import DEFAULT_GAMMA_GRID
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss, stratified_kfold
 from psc.scatter import build_factor
 from psc.smw import SmwError, SmwOperator, apply_inverse, build_operator, gram, lambda_cap
-from tests.oracles import dense_scatter, gram_reference
+from tests.oracles import dense_scatter, gram_reference, lambda_cap_reference
 from tests.test_scatter import random_instance
 
 SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
@@ -152,14 +152,15 @@ class TestGram:
             gram(op, LabeledMatrix([[1.0, 0.0], [0.0, 1.0]], [1, -1]))
 
 
-def assert_same_gram(op, data):
+def assert_close_gram(op, data, bound=1e-12):
     g, ref = gram(op, data), gram_reference(op, data)
     assert g.dtype == ref.dtype and g.shape == ref.shape
-    assert g.tobytes() == ref.tobytes()
+    assert np.abs(g - ref).max() <= bound * np.abs(ref).max()
 
 
 class TestGramMatchesReference:
-    """The factor's X X^T and X D^T basis give the Gram bit for bit."""
+    """The factor's n-space X X^T and X D^T basis give the Gram that the
+    d-space rows give, within 1e-12 of its largest entry."""
 
     def test_criterion_2_random_families(self):
         # criterion 2's instances: n in [4, 20], d in [2, 50], every gamma
@@ -171,7 +172,7 @@ class TestGramMatchesReference:
             n1 = int(rng.integers(2, n - 1))
             data = LabeledMatrix(rng.standard_normal((n, d)), [1] * n1 + [-1] * (n - n1))
             f = build_factor(data, class_stats(data))
-            assert_same_gram(build_operator(f, gammas[case % 5] * lambda_cap(f)), data)
+            assert_close_gram(build_operator(f, gammas[case % 5] * lambda_cap(f)), data)
 
     def test_cv_psc_inner_set_at_every_default_gamma(self):
         # outer fold 0 and inner fold 0 of psc cv's first repeat on the
@@ -183,7 +184,18 @@ class TestGramMatchesReference:
         sub = LabeledMatrix(train.samples[inner], train.labels[inner])
         f = build_factor(sub, class_stats(sub))
         for gamma in DEFAULT_GAMMA_GRID:
-            assert_same_gram(build_operator(f, gamma * lambda_cap(f)), sub)
+            assert_close_gram(build_operator(f, gamma * lambda_cap(f)), sub)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_large_common_offset(self, seed):
+        # every feature shifted by 1e4: the n-space products must not
+        # cancel the offset away, as an uncentred X X^T would
+        data = simulate_hdlss(2000, 22, 40, seed=seed)
+        data = LabeledMatrix(data.samples + 1e4, data.labels)
+        s = class_stats(data)
+        f = build_factor(data, s)
+        assert lambda_cap(f) == pytest.approx(lambda_cap_reference(data, s), rel=1e-11, abs=0.0)
+        assert_close_gram(build_operator(f, 0.5 * lambda_cap(f)), data, bound=1e-11)
 
     def test_the_psd_guard_fires_as_in_the_reference(self):
         data = random_instance(33, d_max=40)
