@@ -331,7 +331,7 @@ def load_model(path) -> LinearModel:
         if not (isinstance(value, float) or (key in settings and value is None)):
             raise bad(f"{key} must be a number, got {value!r}")
     for key, value in counts.items():
-        if not (isinstance(value, float) and value.is_integer()):
+        if not (isinstance(value, float) and value.is_integer() and value >= 0):
             raise bad(f"{key} must be a whole number, got {value!r}")
     converged = doc.get("converged", True)
     if not isinstance(converged, bool):

@@ -65,13 +65,12 @@ class LabeledMatrix:
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Per-class means and counts; m is the imbalance factor."""
+    """Per-class means and counts."""
 
     u1: np.ndarray  # mean of class +1
     u2: np.ndarray  # mean of class -1
     n1: int
     n2: int
-    m: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def class_stats(data: LabeledMatrix) -> ClassStats:
     n2 = data.n - n1
     u1 = data.samples[pos].mean(axis=0)
     u2 = data.samples[~pos].mean(axis=0)
-    return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2, m=max(n1, n2) / min(n1, n2))
+    return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2)
 
 
 def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
@@ -131,6 +130,8 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
             raise DatasetError(f"{path}: empty file") from None
         if label_column not in header:
             raise DatasetError(f"{path}: label column {label_column!r} not in header")
+        if header.count(label_column) > 1:
+            raise DatasetError(f"{path}: label column {label_column!r} appears more than once in header")
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
         rows, labels = [], []
@@ -178,6 +179,8 @@ def _parse_row(path, row_no: int, header: list[str], row: list[str], label_idx: 
 def write_csv(data: LabeledMatrix, path, label_column: str = "label") -> None:
     """Inverse of load_csv with positive_labels={'1'}; floats at 17 sig digits."""
     names = data.feature_names or tuple(f"f{i}" for i in range(data.d))
+    if label_column in names:
+        raise DatasetError(f"label column {label_column!r} is also a feature name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(names) + [label_column])

@@ -21,12 +21,10 @@ class InterceptError(ValueError):
 
 @dataclass(frozen=True)
 class Projections:
-    """w^T x values per class; counts may be overridden for weighting."""
+    """w^T x values per class."""
 
     pos: np.ndarray
     neg: np.ndarray
-    n_pos: int = 0
-    n_neg: int = 0
 
     def __post_init__(self):
         pos = np.asarray(self.pos, dtype=np.float64).ravel()
@@ -37,10 +35,6 @@ class Projections:
             raise InterceptError("projections must be finite")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
-        if self.n_pos <= 0:
-            object.__setattr__(self, "n_pos", pos.size)
-        if self.n_neg <= 0:
-            object.__setattr__(self, "n_neg", neg.size)
 
 
 def is_separable(p: Projections) -> bool:
@@ -48,7 +42,8 @@ def is_separable(p: Projections) -> bool:
 
 
 def gap_intercept(p: Projections, R: float = DEFAULT_R) -> float:
-    """Split the projection gap with ratio b-/b+ = (n_maj/n_min)^(-1/(2R))."""
+    """Split the projection gap with ratio b-/b+ = (n_maj/n_min)^(-1/(2R)),
+    counting each class by its number of projections."""
     if not R > 0:  # also rejects NaN
         raise InterceptError("R must be positive")
     if not is_separable(p):
@@ -56,10 +51,11 @@ def gap_intercept(p: Projections, R: float = DEFAULT_R) -> float:
     lo = float(p.pos.min())
     hi = float(p.neg.max())
     b_gap = lo - hi
-    if p.n_neg >= p.n_pos:
-        r = math.exp(-math.log(p.n_neg / p.n_pos) / (2.0 * R))
+    n_pos, n_neg = p.pos.size, p.neg.size
+    if n_neg >= n_pos:
+        r = math.exp(-math.log(n_neg / n_pos) / (2.0 * R))
     else:
-        r = math.exp(math.log(p.n_pos / p.n_neg) / (2.0 * R))
+        r = math.exp(math.log(n_pos / n_neg) / (2.0 * R))
     # r is the buffer ratio b-/b+; with b- + b+ = b_gap the minority class
     # always receives the larger buffer
     b_plus = b_gap / (1.0 + r)

@@ -116,6 +116,8 @@ def evaluate(labels, decisions) -> EvalReport:
     decisions = np.asarray(decisions, dtype=np.float64).ravel()
     if labels.shape != decisions.shape:
         raise MetricsError("labels and decisions must have equal length")
+    if labels.size == 0:
+        raise MetricsError("labels and decisions must not be empty")
     if not ((labels == 1) | (labels == -1)).all():
         raise MetricsError("labels must be +1 or -1")
     if np.isnan(decisions).any():

@@ -25,12 +25,12 @@ class PopulationFactor:
     order) and E the (n+1) x n centring weights: row k < n of D is
     x_i - u_class(i) for the k-th training row in class order (all +1 rows
     first), and the last row is u1 - u2. Every row of E sums to zero, so
-    D = E (X - 1 r^T) for any r. l_tau holds 1/n1, 1/n2 and beta on the
-    matching rows.
+    D = E (X - 1 r^T) for any r. The row weights L_tau are 1/n1, 1/n2 and
+    beta on the matching rows.
 
-    With C = diag(sqrt(l_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
+    With C = diag(sqrt(L_tau)) D, the small matrix C C^T = U diag(spectrum) U^T
     has the nonzero eigenvalues of C^T C = beta*S_B + S_W. spectrum is
-    ascending and basis is diag(sqrt(l_tau)) U, so C^T U = D^T basis.
+    ascending and basis is diag(sqrt(L_tau)) U, so C^T U = D^T basis.
 
     xx = X X^T and xp = X D^T basis are the products of the training rows
     that every lambda's dual Gram shares.
@@ -38,12 +38,8 @@ class PopulationFactor:
 
     samples: np.ndarray  # (n, d) the training rows, read-only, not a copy
     e_matrix: np.ndarray  # (n+1, n) centring weights, D = E X
-    l_tau: np.ndarray  # (n+1,)
-    beta: float
-    n1: int
-    n2: int
     spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
-    basis: np.ndarray  # (n+1, n+1) diag(sqrt(l_tau)) times the eigenvectors
+    basis: np.ndarray  # (n+1, n+1) diag(sqrt(L_tau)) times the eigenvectors
     xx: np.ndarray  # (n, n) X X^T
     xp: np.ndarray  # (n, n+1) X D^T basis
 
@@ -68,7 +64,6 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     n, n1, n2 = data.n, stats.n1, stats.n2
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
-    b = beta(n1, n2)
     E = np.zeros((n + 1, n))
     E[:n1, pos] = -1.0 / n1
     E[n1:n, neg] = -1.0 / n2
@@ -78,7 +73,7 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     l_tau = np.empty(n + 1)
     l_tau[:n1] = 1.0 / n1
     l_tau[n1:n] = 1.0 / n2
-    l_tau[n] = b
+    l_tau[n] = beta(n1, n2)
     # The one d-space step: centre on the training mean r, so that E K E^T
     # does not cancel a large common offset, and form K = Xc Xc^T.
     r = (n1 * stats.u1 + n2 * stats.u2) / n
@@ -93,8 +88,7 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     # X = Xc + 1 r^T, so X X^T = K + g 1^T + 1 g^T + r^T r and
     # X D^T = X Xc^T E^T = (K + 1 g^T) E^T
     return PopulationFactor(
-        samples=data.samples, e_matrix=E, l_tau=l_tau, beta=b, n1=n1, n2=n2,
-        spectrum=spectrum, basis=basis,
+        samples=data.samples, e_matrix=E, spectrum=spectrum, basis=basis,
         xx=K + g[:, None] + g[None, :] + r @ r,
         xp=(EK.T + (E @ g)[None, :]) @ basis,
     )

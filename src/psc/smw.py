@@ -37,10 +37,12 @@ class SmwOperator:
 def lambda_cap(factor: PopulationFactor) -> float:
     """1/lambda_max(beta*S_B + S_W), read off the factor's (n+1)-space spectrum.
 
-    Returns +inf when the scatter matrix is identically zero.
+    Returns +inf when the scatter matrix is numerically zero: its largest
+    eigenvalue is at most n * eps times the largest diagonal entry of X X^T,
+    below what the dual Gram, which is built on X X^T, resolves.
     """
     lam_max = float(factor.spectrum[-1])
-    if lam_max <= 1e-300:
+    if lam_max <= factor.n * np.finfo(np.float64).eps * float(np.diag(factor.xx).max()):
         return float("inf")
     return 1.0 / lam_max
 

@@ -107,15 +107,15 @@ def test_criterion_4_intercept_formulas():
     # gap identity and split values
     for n_pos, n_neg in [(2, 2), (3, 48), (48, 3), (7, 5)]:
         lo, hi = sorted(rng.uniform(-5, 5, 2))
-        pos = np.array([hi, hi + 1.0])
-        neg = np.array([lo - 1.0, lo])
-        p = Projections(pos, neg, n_pos=n_pos, n_neg=n_neg)
+        pos = np.linspace(hi, hi + 1.0, n_pos)
+        neg = np.linspace(lo - 1.0, lo, n_neg)
+        p = Projections(pos, neg)
         b = gap_intercept(p, 2.0)
         b_plus, b_minus = hi + b, -(lo + b)
         assert b_plus + b_minus == pytest.approx(hi - lo, abs=1e-12)
     balanced = gap_intercept(Projections([3.0, 4.0], [0.0, 1.0]), 2.0)
     assert balanced == pytest.approx(-2.0, abs=1e-10)
-    m16 = Projections([3.0, 4.0], [0.0, 1.0], n_pos=2, n_neg=32)
+    m16 = Projections([3.0, 4.0], np.linspace(0.0, 1.0, 32))
     r = 16.0 ** -0.25
     assert r == pytest.approx(0.5, abs=1e-10)
     b = gap_intercept(m16, 2.0)

@@ -395,6 +395,14 @@ class TestSerialization:
         assert again.b == model.b
         assert model_to_dict(again) == model_to_dict(model)
 
+    def test_a_bayes_model_with_zero_counts_round_trips(self, tmp_path):
+        model = bayes_oracle(FIG1_MU, -FIG1_MU, FIG1_SIGMA)
+        path = tmp_path / "bayes.json"
+        save_model(model, path)
+        again = load_model(path)
+        assert (again.n1, again.n2) == (0, 0)
+        assert model_to_dict(again) == model_to_dict(model)
+
     def test_dict_fields(self):
         d = model_to_dict(fit_psc(simulate_hdlss(10, 5, 3, seed=1), HP))
         for key in ("method_tag", "d", "w", "b", "n1", "n2", "gamma", "lambda",

@@ -211,6 +211,19 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_a_label_column_that_repeats_a_feature_name(self, tmp_path, capsys):
+        out = tmp_path / "train.csv"
+        rc = run("simulate", "--d", 3, "--n-pos", 4, "--n-neg", 4, "--label-column", "f1",
+                 "--out", out)
+        assert rc == 1
+        assert "error: label column 'f1' is also a feature name" in capsys.readouterr().err
+        assert not out.exists()
+        out.write_text("f0,f1,f2,f1\n" + "0,1,2,1\n" * 3 + "0,1,2,-1\n" * 3)
+        assert run("fit", "--train", out, "--label-column", "f1", "--out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert f"error: {out}: label column 'f1' appears more than once in header" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         run("simulate", "--d", 5, "--n-pos", 6, "--n-neg", 4, "--seed", 0,
@@ -356,6 +369,7 @@ class TestModelAndPredictionFiles:
         ({"n2": None}, "n2 must be a whole number, got None"),
         ({"d": 7}, "d is 7.0 but w has 6 entries"),
         ({"method_tag": 1}, "method_tag must be a string, got 1.0"),
+        ({"n1": -3}, "n1 must be a whole number, got -3.0"),
     ])
     def test_predict_rejects_a_malformed_model(self, tmp_path, capsys, saved, changes, message):
         data, model = saved

@@ -59,7 +59,6 @@ class TestLoadCsv:
         stats = class_stats(data)
         assert (data.n, data.d) == (62, 2000)
         assert (stats.n1, stats.n2) == (22, 40)
-        assert stats.m == pytest.approx(1.82, abs=0.005)
 
     def test_binarization(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -89,6 +88,18 @@ class TestLoadCsv:
         write_rows(path, ["x", "y"], [[1, "a"], [2, "b"]])
         with pytest.raises(DatasetError, match="label column"):
             load_csv(path, "z", {"a"})
+
+    def test_a_label_column_named_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_rows(path, ["f0", "f1", "f2", "f1"], [[1, 2, 3, "1"], [4, 5, 6, "-1"]])
+        with pytest.raises(DatasetError, match="label column 'f1' appears more than once"):
+            load_csv(path, "f1", {"1"})
+
+    def test_write_rejects_a_label_column_that_names_a_feature(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(DatasetError, match="label column 'f1' is also a feature name"):
+            write_csv(simulate_hdlss(3, 2, 2, seed=0), path, label_column="f1")
+        assert not path.exists()
 
     def test_all_one_class_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -159,12 +170,13 @@ class TestClassStats:
         data = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
         s = class_stats(data)
         assert s.u1[0] == 1.0 and s.u2[0] == 6.0
-        assert (s.n1, s.n2, s.m) == (2, 2, 1.0)
+        assert (s.n1, s.n2) == (2, 2)
 
     def test_imbalance_factor(self):
         data = LabeledMatrix(np.zeros((110, 1)) + np.arange(110)[:, None],
                              [1] * 100 + [-1] * 10)
-        assert class_stats(data).m == 10.0
+        s = class_stats(data)
+        assert (s.n1, s.n2) == (100, 10)
 
     def test_constant_class_mean(self):
         data = LabeledMatrix([[3.5], [3.5], [0.0], [1.0]], [1, 1, -1, -1])
@@ -237,9 +249,11 @@ class TestSimulators:
 
     def test_fig1_counts(self):
         a = simulate_fig1(5, 65, seed=0)
-        assert class_stats(a).m == 13.0
+        s = class_stats(a)
+        assert (s.n1, s.n2) == (5, 65)
         d = simulate_fig1(65, 65, seed=0)
-        assert class_stats(d).m == 1.0
+        s = class_stats(d)
+        assert (s.n1, s.n2) == (65, 65)
 
     def test_fig1_covariance_mc(self):
         data = simulate_fig1(100_000, 1, seed=2024)

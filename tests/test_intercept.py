@@ -40,13 +40,13 @@ class TestGapIntercept:
     def test_m16_minority_positive(self):
         # n-/n+ = 16, R = 2: r = 16^(-1/4) = 0.5, gap [1,3] of width 2,
         # buffer 4/3 on the minority (+) side -> boundary at 3 - 4/3 = 5/3
-        p = Projections([3, 4], [0, 1], n_pos=2, n_neg=32)
+        p = Projections([3, 4], np.linspace(0, 1, 32))
         b = gap_intercept(p, 2.0)
         assert b == pytest.approx(-(3 - 4.0 / 3.0), abs=1e-10)
 
     def test_gap_identity(self):
         for n_pos, n_neg in [(2, 2), (2, 32), (32, 2), (5, 7)]:
-            p = Projections([3.0, 4.0], [0.0, 1.0], n_pos=n_pos, n_neg=n_neg)
+            p = Projections(np.linspace(3.0, 4.0, n_pos), np.linspace(0.0, 1.0, n_neg))
             b = gap_intercept(p, 2.0)
             b_plus = 3.0 + b
             b_minus = -(1.0 + b)
@@ -54,15 +54,15 @@ class TestGapIntercept:
             assert b_plus > 0 and b_minus > 0
 
     def test_minority_gets_larger_buffer_both_directions(self):
-        minority_pos = gap_intercept(Projections([3, 4], [0, 1], 2, 32), 2.0)
+        minority_pos = gap_intercept(Projections([3, 4], np.linspace(0, 1, 32)), 2.0)
         assert 3.0 + minority_pos > -(1.0 + minority_pos)
-        minority_neg = gap_intercept(Projections([3, 4], [0, 1], 32, 2), 2.0)
+        minority_neg = gap_intercept(Projections(np.linspace(3, 4, 32), [0, 1]), 2.0)
         assert 3.0 + minority_neg < -(1.0 + minority_neg)
 
     def test_split_monotone_in_imbalance(self):
         shares = []
         for n_neg in [2, 4, 16, 256, 65536]:
-            b = gap_intercept(Projections([3, 4], [0, 1], 2, n_neg), 2.0)
+            b = gap_intercept(Projections([3, 4], np.linspace(0, 1, n_neg)), 2.0)
             shares.append((3.0 + b) / 2.0)
         assert all(a <= b_ for a, b_ in zip(shares, shares[1:]))
         assert shares[-1] > 0.9

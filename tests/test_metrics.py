@@ -153,6 +153,10 @@ class TestEvaluate:
         with pytest.raises(MetricsError):
             evaluate(np.array([1, -1]), np.array([1.0]))
 
+    def test_empty_input(self):
+        with pytest.raises(MetricsError, match="must not be empty"):
+            evaluate([], [])
+
     def test_rejects_a_nan_decision(self):
         # a NaN was scored as the lowest decision and as class -1
         with pytest.raises(MetricsError, match="NaN"):

@@ -48,8 +48,8 @@ class TestBuildFactor:
         # classes {0,2} and {5,7}: S_W = 2, S_B = 25, beta = 1 -> 27
         data = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
         f = build_factor(data, class_stats(data))
-        D = f.e_matrix @ data.samples
-        dense = D.T @ np.diag(f.l_tau) @ D
+        P = (f.e_matrix @ data.samples).T @ f.basis
+        dense = P @ P.T
         assert dense[0, 0] == pytest.approx(27.0, abs=1e-12)
         assert dense_scatter(data, class_stats(data))[0, 0] == pytest.approx(27.0, abs=1e-12)
 
@@ -61,19 +61,24 @@ class TestBuildFactor:
 
     def test_centering_rows(self):
         data = random_instance(3)
-        f = build_factor(data, class_stats(data))
+        s = class_stats(data)
+        f = build_factor(data, s)
         D = f.e_matrix @ data.samples
-        assert np.abs(D[: f.n1].sum(axis=0)).max() < 1e-12
-        assert np.abs(D[f.n1: -1].sum(axis=0)).max() < 1e-12
+        assert np.abs(D[: s.n1].sum(axis=0)).max() < 1e-12
+        assert np.abs(D[s.n1: -1].sum(axis=0)).max() < 1e-12
 
     def test_l_tau_positive_and_layout(self):
+        # basis = diag(sqrt(L_tau)) U with U orthogonal, so D^T basis carries
+        # the row weights, and basis basis^T = diag(L_tau)
         data = random_instance(4)
         s = class_stats(data)
         f = build_factor(data, s)
-        assert np.all(f.l_tau > 0)
-        assert np.allclose(f.l_tau[: s.n1], 1.0 / s.n1)
-        assert np.allclose(f.l_tau[s.n1: -1], 1.0 / s.n2)
-        assert f.l_tau[-1] == f.beta
+        P = (f.e_matrix @ data.samples).T @ f.basis
+        assert np.allclose(P @ P.T, dense_scatter(data, s))
+        assert np.allclose(P.T @ P, np.diag(f.spectrum))
+        l_tau = np.concatenate([np.full(s.n1, 1.0 / s.n1), np.full(s.n2, 1.0 / s.n2),
+                                [beta(s.n1, s.n2)]])
+        assert np.allclose((f.basis ** 2).sum(axis=1), l_tau)
 
     def test_rows_match_the_d_space_rows(self):
         # D = E X: E's rows sum to zero and rebuild scatter_rows' D
@@ -84,18 +89,23 @@ class TestBuildFactor:
             D, l_tau = scatter_rows(data, s)
             assert np.abs(f.e_matrix.sum(axis=1)).max() < 1e-14
             assert np.abs(f.e_matrix @ data.samples - D).max() <= 1e-12 * max(np.abs(D).max(), 1.0)
-            assert np.array_equal(f.l_tau, l_tau)
+            P = (f.e_matrix @ data.samples).T @ f.basis
+            dense = dense_scatter(data, s)
+            assert np.linalg.norm(P @ P.T - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)
+            spectrum = np.diag(f.spectrum)
+            assert np.linalg.norm(P.T @ P - spectrum) <= 1e-10 * max(np.linalg.norm(spectrum), 1.0)
 
     def test_matches_dense_random(self):
         for seed in range(20):
             data = random_instance(seed)
             s = class_stats(data)
             f = build_factor(data, s)
-            D = f.e_matrix @ data.samples
-            lowrank = D.T @ (f.l_tau[:, None] * D)
+            P = (f.e_matrix @ data.samples).T @ f.basis
             dense = dense_scatter(data, s)
             scale = max(np.linalg.norm(dense), 1.0)
-            assert np.linalg.norm(lowrank - dense) <= 1e-10 * scale
+            assert np.linalg.norm(P @ P.T - dense) <= 1e-10 * scale
+            spectrum = np.diag(f.spectrum)
+            assert np.linalg.norm(P.T @ P - spectrum) <= 1e-10 * max(np.linalg.norm(spectrum), 1.0)
 
 
 class TestDenseScatter:
@@ -128,7 +138,8 @@ def test_factor_dense_equivalence_property(seed):
     data = random_instance(seed)
     s = class_stats(data)
     f = build_factor(data, s)
-    D = f.e_matrix @ data.samples
-    lowrank = D.T @ (f.l_tau[:, None] * D)
+    P = (f.e_matrix @ data.samples).T @ f.basis
     dense = dense_scatter(data, s)
-    assert np.linalg.norm(lowrank - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)
+    assert np.linalg.norm(P @ P.T - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)
+    spectrum = np.diag(f.spectrum)
+    assert np.linalg.norm(P.T @ P - spectrum) <= 1e-10 * max(np.linalg.norm(spectrum), 1.0)

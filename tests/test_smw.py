@@ -44,6 +44,14 @@ class TestLambdaCap:
         data = LabeledMatrix([[1.0], [1.0], [1.0], [1.0]], [1, 1, -1, -1])
         assert lambda_cap(build_factor(data, class_stats(data))) == np.inf
 
+    def test_equal_rows_at_any_value_read_as_zero_scatter(self):
+        # the class means round (0.1 averaged over 3 rows is not 0.1), so the
+        # factor's spectrum holds rounding noise, not exact zeros
+        for v in np.linspace(-5.0, 5.0, 97):
+            for n1, n2 in [(3, 5), (2, 2), (10, 4), (1, 6)]:
+                data = LabeledMatrix(np.full((n1 + n2, 3), v), [1] * n1 + [-1] * n2)
+                assert lambda_cap(build_factor(data, class_stats(data))) == np.inf
+
 
 class TestBuildOperator:
     def test_scalar_inverse(self):
