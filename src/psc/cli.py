@@ -69,7 +69,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.pred, newline="", encoding="utf-8") as fh:
+    with open(args.pred, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if "decision" not in (reader.fieldnames or ()):
             raise metrics.MetricsError(f"{args.pred}: no 'decision' column in the header")

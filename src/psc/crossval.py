@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ConfigError("fold counts must be at least 2")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         try:  # every grid value, so that no cell fails for its settings alone
             for gamma in self.gamma_grid:
                 for c0 in self.c0_grid:

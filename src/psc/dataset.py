@@ -1,14 +1,17 @@
 """Data ingestion, stratified fold planning, and seeded Gaussian simulators.
 
 All randomness goes through a PCG64 generator seeded explicitly; Gaussian
-variates are produced by the Box-Muller transform of uniform pairs, so the
-same seed gives byte-identical output on any platform.
+variates are produced by the Box-Muller transform of uniform pairs. The same
+seed gives byte-identical output under the same numpy build and CPU features:
+numpy picks its log1p, sin and cos kernels by CPU feature, and they can round
+the last bit differently.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,27 +93,51 @@ class FoldPlan:
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals via Box-Muller over PCG64 uniforms (stream-stable)."""
+    """Standard normals via Box-Muller over PCG64 uniforms (stream-stable).
+
+    The first half of the output takes radius * cos(angle), the second half
+    radius * sin(angle). Everything is formed in place in the output and one
+    half-size array of angles, so the peak is 1.5x the output.
+    """
     count = int(np.prod(shape))
     half = (count + 1) // 2
-    u1 = rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log never hits 0
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
-    return z.reshape(shape)
+    z = np.empty(2 * half)
+    cos_part, radius = z[:half], z[half:]
+    rng.random(out=radius)  # u1
+    angle = rng.random(half)  # u2
+    # radius = sqrt(-2 log(1 - u1)); 1-u1 in (0,1], log never hits 0
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=cos_part)
+    cos_part *= radius
+    np.sin(angle, out=angle)
+    radius *= angle
+    return z[:count].reshape(shape)
 
 
 def class_stats(data: LabeledMatrix) -> ClassStats:
+    """Class means without copying a class: each starts at 0.0, adds its
+    class's rows in row order and divides by the count, which is how numpy's
+    axis-0 mean reduces a C-ordered matrix, bit for bit."""
     pos = data.labels == 1
     n1 = int(pos.sum())
     n2 = data.n - n1
-    u1 = data.samples[pos].mean(axis=0)
-    u2 = data.samples[~pos].mean(axis=0)
+    u1 = np.zeros(data.d)
+    u2 = np.zeros(data.d)
+    for row, is_pos in zip(data.samples, pos.tolist()):
+        total = u1 if is_pos else u2
+        total += row
+    u1 /= n1
+    u2 /= n2
     return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2)
 
 
@@ -119,7 +146,7 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
     get +1, all others -1. Column order is preserved."""
     positive_labels = set(positive_labels)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # a leading BOM is not a header cell
     except FileNotFoundError:
         raise DatasetError(f"no such file: {path}") from None
     with fh:

@@ -4,7 +4,9 @@ QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
 bit for bit, the d-space scatter factor with the lambda cap and the Gram
 formed from it, which scatter.build_factor's n-space path must match within
-stated bounds, and the explicit d x d scatter matrix."""
+stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
+the class means that dataset.standard_normal and dataset.class_stats must
+match bit for bit."""
 
 from itertools import product
 
@@ -212,3 +214,25 @@ def dense_scatter(data: LabeledMatrix, stats: ClassStats) -> np.ndarray:
     s_b = np.outer(diff, diff)
     out = beta(stats.n1, stats.n2) * s_b + s_w
     return (out + out.T) / 2.0
+
+
+def standard_normal_reference(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normals via Box-Muller over PCG64 uniforms (stream-stable)."""
+    count = int(np.prod(shape))
+    half = (count + 1) // 2
+    u1 = rng.random(half)
+    u2 = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], log never hits 0
+    angle = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+    return z.reshape(shape)
+
+
+def class_stats_reference(data: LabeledMatrix) -> ClassStats:
+    """Class means from a copy of each class's rows."""
+    pos = data.labels == 1
+    n1 = int(pos.sum())
+    n2 = data.n - n1
+    u1 = data.samples[pos].mean(axis=0)
+    u2 = data.samples[~pos].mean(axis=0)
+    return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2)

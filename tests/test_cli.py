@@ -224,6 +224,18 @@ class TestErrorsAndDeterminism:
         assert f"error: {out}: label column 'f1' appears more than once in header" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_simulate_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert run("simulate", "--n-pos", 3, "--n-neg", 3, "--seed", -1, "--out", out) == 1
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_rejects_a_negative_seed(self, tmp_path, capsys):
+        rc, out_dir = cv_with_config(tmp_path, "cv", SMALL_CV, "--seed", -1)
+        assert rc == 1
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         run("simulate", "--d", 5, "--n-pos", 6, "--n-neg", 4, "--seed", 0,
@@ -382,6 +394,13 @@ class TestModelAndPredictionFiles:
         assert run("predict", "--model", path, "--data", saved[0], "--out", tmp_path / "p.csv") == 1
         assert f"error: {path}: not a JSON file: Expecting property name" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    def test_evaluate_reads_a_predictions_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        truth, preds = tmp_path / "truth.csv", tmp_path / "preds.csv"
+        truth.write_text("label,x\n1,0\n-1,0\n")
+        preds.write_bytes(b"\xef\xbb\xbfdecision,id\n0.5,0\n-0.5,1\n")
+        assert run("evaluate", "--pred", preds, "--truth", truth, "--out", tmp_path / "r.json") == 0
+        assert "bccr=1.000000" in capsys.readouterr().out
 
     def test_evaluate_ties_equal_infinite_decisions(self, tmp_path, capsys):
         # inf - inf is NaN, so a difference split the tie and read auc=1.0

@@ -57,6 +57,8 @@ class TestConfig:
             ExperimentConfig(c0_grid=(1.0, "2"))
         with pytest.raises(ConfigError, match="seed must be of type int"):
             ExperimentConfig(seed=True)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            ExperimentConfig(seed=-1)
         with pytest.raises(ConfigError, match="r_scale must be of type float"):
             ExperimentConfig(r_scale=None)
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from psc.dataset import (
     stratified_kfold,
     write_csv,
 )
+from tests.oracles import class_stats_reference, standard_normal_reference
 
 
 def write_rows(path, header, rows):
@@ -66,6 +68,18 @@ class TestLoadCsv:
         data = load_csv(path, "y", {"a"})
         assert data.labels.tolist() == [1, 1, -1]
         assert data.samples[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("header", [["label", "f0", "f1"], ["f0", "f1", "label"]])
+    def test_a_leading_byte_order_mark_is_not_part_of_the_header(self, tmp_path, header):
+        path = tmp_path / "t.csv"
+        rows = [[{"label": lab, "f0": 1.5 * i, "f1": -i}[h] for h in header]
+                for i, lab in enumerate(["1", "1", "-1"])]
+        write_rows(path, header, rows)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        data = load_csv(path, "label", {"1"})
+        assert data.feature_names == ("f0", "f1")
+        assert data.labels.tolist() == [1, 1, -1]
+        assert data.samples.tolist() == [[0.0, 0.0], [1.5, -1.0], [3.0, -2.0]]
 
     def test_nan_cell_reports_location(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -182,6 +196,24 @@ class TestClassStats:
         data = LabeledMatrix([[3.5], [3.5], [0.0], [1.0]], [1, 1, -1, -1])
         assert class_stats(data).u1[0] == 3.5
 
+    # the hand examples above, an n = 2 set, and rows scaled by 1e-5 to 1e7
+    MEAN_CASES = [
+        LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1]),
+        LabeledMatrix(np.zeros((110, 1)) + np.arange(110)[:, None], [1] * 100 + [-1] * 10),
+        LabeledMatrix([[3.5], [3.5], [0.0], [1.0]], [1, 1, -1, -1]),
+        LabeledMatrix([[0.1, -0.0, 3.0], [0.2, -0.0, -1e-300]], [-1, 1]),
+        LabeledMatrix(standard_normal_reference(make_rng(4), (23, 57))
+                      * np.logspace(-5, 7, 23)[:, None],
+                      [1, -1, -1, 1, -1] * 4 + [-1, 1, -1]),
+    ]
+
+    @pytest.mark.parametrize("data", MEAN_CASES)
+    def test_matches_the_copying_reference_bit_for_bit(self, data):
+        got, ref = class_stats(data), class_stats_reference(data)
+        assert (got.n1, got.n2) == (ref.n1, ref.n2)
+        assert got.u1.tobytes() == ref.u1.tobytes()
+        assert got.u2.tobytes() == ref.u2.tobytes()
+
 
 class TestStratifiedKfold:
     def test_alon_fold_sizes(self):
@@ -216,6 +248,10 @@ class TestStratifiedKfold:
     def test_class_smaller_than_k(self):
         with pytest.raises(DatasetError, match="fewer than k"):
             stratified_kfold([1, 1, -1, -1, -1], 3, seed=0)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer, got -1"):
+            stratified_kfold([1, 1, -1, -1], 2, seed=-1)
 
     def test_rejects_a_label_other_than_plus_or_minus_one(self):
         # the 0 and 5 rows got fold numbers from uninitialised memory
@@ -266,3 +302,52 @@ class TestSimulators:
         z = standard_normal(make_rng(1), (200_000,))
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer, got -2"):
+            simulate_hdlss(5, 3, 3, -2)
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer, got -1"):
+            make_rng(-1)
+
+
+class TestBoxMullerMatchesReference:
+    """The in-place draw against the allocating reference, for odd and even
+    counts."""
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (2, 3), (7,), (101, 13), (62, 2000), (30, 20000)])
+    def test_standard_normal_bit_for_bit(self, shape):
+        for seed in range(20):
+            got = standard_normal(make_rng(seed), shape)
+            ref = standard_normal_reference(make_rng(seed), shape)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_simulators_bit_for_bit(self, monkeypatch):
+        for seed in range(20):
+            got = (simulate_fig1(5 + seed, 65, seed), simulate_hdlss(50, 7, 4 + seed, seed))
+            with monkeypatch.context() as m:
+                m.setattr(dataset, "standard_normal", standard_normal_reference)
+                ref = (simulate_fig1(5 + seed, 65, seed), simulate_hdlss(50, 7, 4 + seed, seed))
+            for a, b in zip(got, ref):
+                assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that fn(*args) holds at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    def test_standard_normal_peaks_at_one_and_a_half_outputs(self):
+        out_bytes = 200 * 2000 * 8
+        assert traced_peak(standard_normal, make_rng(0), (200, 2000)) <= 1.6 * out_bytes
+
+    def test_class_stats_copies_no_class(self):
+        data = simulate_hdlss(20000, 20, 10, seed=0)
+        one_class_bytes = 10 * data.d * 8
+        assert traced_peak(class_stats, data) < one_class_bytes
