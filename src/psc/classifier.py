@@ -121,7 +121,7 @@ class TrainingSet:
     first psc fit, so cssvm and rmdd never build it), and the c0 path memo.
 
     The memo holds, per setting that fixes the dual's Gram, the fit at the
-    smallest c0 whose SMO solve left every cap unbound (``upper_active``
+    smallest c0 whose dual solve left every cap unbound (``upper_active``
     False). Any larger c0 would repeat that solve bit for bit, so a fit at
     one is read from the memo instead."""
 
@@ -306,7 +306,7 @@ def load_model(path) -> LinearModel:
     def bad(problem: str) -> FitError:
         return FitError(f"{path}: {problem}")
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, parse_int=float)  # so every JSON number is a float
         except ValueError as exc:  # a JSON syntax or a UTF-8 decoding error

@@ -96,7 +96,7 @@ def cmd_evaluate(args) -> int:
 def cmd_cv(args) -> int:
     config_doc = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 config_doc = json.load(fh)
             except ValueError as exc:  # a JSON syntax or a UTF-8 decoding error

@@ -1,21 +1,26 @@
-"""Dual box QP with one equality constraint, solved by a two-coordinate
-working-set method (maximal violating pair).
+"""Dual box QP with one equality constraint, solved by a primal active-set
+method.
 
-The pair-update loop is the hot kernel. It carries the score -y * grad
-and the two working-set masks from step to step and touches only the two
-coordinates that move: a step costs two masked copies, an argmax, an argmin
-and one rank-two score update over the coordinates, and does the pair's
-scalar arithmetic on Python floats. Ties break by lowest index.
+Each step solves the equality-constrained subproblem of the free rows (a
+face of the box) with the bound rows held at their bounds, and moves towards
+its optimum until the first bound blocks. When a face's optimum is reached,
+the bound row of the maximal violating pair is released. In high-dimension
+low-sample-size duals nearly every multiplier is free, so most solves take
+one step. The violating pair breaks ties by lowest index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10_000_000
+# a Cholesky pivot of the reduced Hessian whose square is at most FLAT times
+# its largest diagonal entry reads as a zero curvature
+FLAT = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class QpError(ValueError):
@@ -78,80 +83,87 @@ def solve_smo(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DualSolution:
-    """Maximal-violating-pair ascent from alpha = 0. A solve capped at
-    max_iter returns its max_iter-th iterate.
+    """Primal active-set ascent from alpha = 0 with every row free. The
+    name is kept from the pair-step (SMO) method this replaced, which
+    tests/oracles.py keeps as smo_reference.
 
-    The caps enter the loop only through the upper-side rooms, the
-    ``alpha < upper`` masks and the clamp. ``upper_active`` is set when an
-    upper-side room bounds a step or a coordinate reaches its cap. A solve
-    that leaves it clear takes the same steps under any caps at least as
-    large elementwise, since float rounding is monotone, and so returns the
-    same alpha, iterations and gap bit for bit."""
+    A step works on the face of the free rows F, the bound rows held at
+    their bounds. It takes the face's Newton step (see _face_direction)
+    and shortens it to the first bound it crosses; every row that blocks at
+    that length leaves F at its bound. A step of length 0 changes only F
+    and is not counted. Once a step reaches its face's optimum, the bound
+    row of the maximal violating pair joins F: of two bound rows, the one
+    whose score is further from the free rows' score, and both when F is
+    empty. The solve stops when the pair's gap is
+    at most tol. It stops short of that, unconverged, when no bound row of
+    the pair violates or when a face optimum repeats the working set of an
+    earlier one (a cycle). ``iterations`` counts steps, and a solve capped
+    at max_iter returns its max_iter-th iterate and that iterate's gap.
+
+    The caps enter only through the ratio tests of the upper bounds and the
+    clamp. ``upper_active`` is set when an upper-bound ratio is at most the
+    step taken or a coordinate ends equal to its cap. A solve that leaves
+    it clear takes the same steps under any caps at least as large
+    elementwise, since float rounding is monotone, and so returns the same
+    alpha, iterations and gap bit for bit."""
     if not tol > 0:
         raise QpError("tol must be positive")
-    G = problem.G
-    n = problem.n
-    y, upper = problem.y.tolist(), problem.upper.tolist()
-    diag = G.diagonal().tolist()
-    alpha = [0.0] * n
-    # score = -y * grad with grad = G alpha - 1, so it starts at y. Row i of
-    # Q is -y_i * y * G[:, i]; a factor of -1 is exact and rounding is
-    # symmetric in sign, so score += step * (Q[i] - Q[j]) rounds entry by
-    # entry as grad += step * (y_i G[:, i] - y_j G[:, j]) does, up to the
-    # sign of an exact zero, which compares equal
-    score = problem.y.copy()
-    Q = np.ascontiguousarray((np.outer(problem.y, -problem.y) * G).T)
-    delta = np.empty(n)
-    # up: alpha < upper if y > 0 else alpha > 0; low: the same with -y. The
-    # masked scores hold -inf (up) or +inf (low) off their set, and take
-    # the set's scores afresh each step
-    up = (problem.y > 0) & (problem.upper > 0.0)
-    low = (problem.y < 0) & (problem.upper > 0.0)
-    up_score = np.full(n, -np.inf)
-    low_score = np.full(n, np.inf)
-    it = 0
+    G, y, upper = problem.G, problem.y, problem.upper
+    alpha = np.zeros(problem.n)
+    free = np.ones(problem.n, dtype=bool)
+    seen = set()
+    at_optimum = False
     upper_active = False
+    it = 0
     while True:
-        np.putmask(up_score, up, score)
-        np.putmask(low_score, low, score)
-        i = int(up_score.argmax())
-        j = int(low_score.argmin())
-        # an empty side of the working set leaves its extreme infinite, so
-        # the gap is -inf and reads as 0. The gap is of the current alpha,
-        # so a solve stopped by the cap reports the residual of the iterate
-        # it returns
-        gap = up_score.item(i) - low_score.item(j)
+        grad = 1.0 - G @ alpha  # the objective's gradient
+        score = y * grad
+        gap, i, j = _violating_pair(score, alpha, y, upper)
         if gap <= tol or it >= max_iter:
             break
-        y_i, y_j = y[i], y[j]
-        room_i = upper[i] - alpha[i] if y_i > 0 else alpha[i]
-        room_j = alpha[j] if y_j > 0 else upper[j] - alpha[j]
-        quad = diag[i] + diag[j] - 2.0 * y_i * y_j * G.item(i, j)
-        if quad > 1e-12:
-            step = min(gap / quad, room_i, room_j)
-        else:
-            step = min(room_i, room_j)
-        if (y_i > 0 and room_i <= step) or (y_j < 0 and room_j <= step):
+        f = np.flatnonzero(free)
+        if at_optimum or not f.size:
+            key = free.tobytes() + (alpha > 0.0).tobytes()
+            if key in seen:
+                break
+            seen.add(key)
+            if f.size:
+                # the free rows share one score, the face's multiplier for y
+                nu = score[f[0]]
+                excess = [(score[i] - nu, i), (nu - score[j], j)]
+                excess = [(e, k) for e, k in excess if e > 0 and not free[k]]
+                if not excess:
+                    break
+                free[max(excess, key=lambda ek: ek[0])[1]] = True
+            else:
+                free[[i, j]] = True
+            f = np.flatnonzero(free)
+        p, length = _face_direction(G, y, alpha, grad, f)
+        a_f, u_f = alpha[f], upper[f]
+        ratio = np.full(f.size, np.inf)
+        down, up = p < 0.0, p > 0.0
+        ratio[down] = a_f[down] / -p[down]
+        ratio[up] = (u_f[up] - a_f[up]) / p[up]
+        b = int(ratio.argmin())
+        step = min(length, ratio[b])
+        if step == np.inf:
+            raise QpError("the dual is unbounded: a zero-curvature ascent direction "
+                          "meets no finite cap")
+        if (ratio[up] <= step).any():
             upper_active = True
-        a_i = min(max(alpha[i] + y_i * step, 0.0), upper[i])
-        a_j = min(max(alpha[j] - y_j * step, 0.0), upper[j])
-        if a_i == upper[i] or a_j == upper[j]:
+        a_f += step * p
+        at_optimum = not ratio[b] < length
+        if not at_optimum:  # every row that blocks at this length leaves F
+            ties = ratio == ratio[b]
+            a_f[ties] = np.where(p[ties] < 0.0, 0.0, u_f[ties])
+            free[f[ties]] = False
+        np.clip(a_f, 0.0, u_f, out=a_f)
+        if (a_f == u_f).any():
             upper_active = True
-        alpha[i], alpha[j] = a_i, a_j
-        for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
-            below, above = a_k < upper[k], a_k > 0.0
-            up_k, low_k = (below, above) if y_k > 0 else (above, below)
-            up[k], low[k] = up_k, low_k
-            if not up_k:
-                up_score[k] = -np.inf
-            if not low_k:
-                low_score[k] = np.inf
-        np.subtract(Q[i], Q[j], out=delta)
-        delta *= step
-        score += delta
-        it += 1
-    alpha = np.array(alpha)
-    gap = max(float(gap), 0.0)
+        alpha[f] = a_f
+        if step > 0.0:  # a step of length 0 changes only F
+            it += 1
+    gap = max(gap, 0.0)
     return DualSolution(
         alpha=alpha,
         objective=objective(problem, alpha),
@@ -160,3 +172,51 @@ def solve_smo(
         converged=gap <= tol,
         upper_active=upper_active,
     )
+
+
+def _violating_pair(score: np.ndarray, alpha: np.ndarray, y: np.ndarray,
+                    upper: np.ndarray) -> tuple[float, int, int]:
+    """The maximal violating pair (i, j) and its gap score[i] - score[j].
+    i may grow along y (alpha < upper if y > 0 else alpha > 0) and j may
+    shrink along it; an empty side reads as a gap of 0."""
+    pos, below, above = y > 0, alpha < upper, alpha > 0.0
+    up, low = np.where(pos, below, above), np.where(pos, above, below)
+    if not (up.any() and low.any()):
+        return 0.0, -1, -1
+    i = int(np.where(up, score, -np.inf).argmax())
+    j = int(np.where(low, score, np.inf).argmin())
+    return float(score[i] - score[j]), i, j
+
+
+def _face_direction(G: np.ndarray, y: np.ndarray, alpha: np.ndarray, grad: np.ndarray,
+                    f: np.ndarray) -> tuple[np.ndarray, float]:
+    """A direction p on the free rows f with y_f^T p = 0, and the length
+    at which it reaches the face's optimum.
+
+    With r = f[0] and R the rest, p_R = z and p_r = -y_r y_R^T z (p = Z z),
+    so along z the objective has gradient h = grad_R - y_r grad_r y_R and
+    Hessian H = Z^T G_ff Z. If H's least Cholesky pivot, squared, exceeds
+    FLAT times its largest diagonal entry, p is the Newton step z = H^-1 h,
+    of length 1. Otherwise the face is flat along H's eigenvector of least
+    eigenvalue, and p follows it, signed so that h^T z >= 0, with no length
+    of its own. A face of one row is the point where y^T alpha = 0."""
+    r, R = f[0], f[1:]
+    if R.size == 0:
+        # y^T alpha summed exactly, so a row whose partners sit at their
+        # bounds lands on its own bound when y^T alpha = 0 puts it there
+        return np.array([-y[r] * math.fsum(y * alpha)]), 1.0
+    y_r, y_R = y[r], y[R]
+    v = y_r * G[r, R]
+    H = G[np.ix_(R, R)] - np.outer(y_R, v) - np.outer(v, y_R) + G[r, r] * np.outer(y_R, y_R)
+    h = grad[R] - (y_r * grad[r]) * y_R
+    try:
+        pivots = np.linalg.cholesky(H).diagonal()
+        if pivots.min() ** 2 > FLAT * H.diagonal().max():
+            z = np.linalg.solve(H, h)
+            return np.concatenate(([-y_r * (y_R @ z)], z)), 1.0
+    except np.linalg.LinAlgError:
+        pass
+    z = np.linalg.eigh(H)[1][:, 0]
+    if h @ z < 0.0:
+        z = -z
+    return np.concatenate(([-y_r * (y_R @ z)], z)), np.inf

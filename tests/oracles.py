@@ -1,6 +1,6 @@
 """Dense and exhaustive reference implementations the tests check the
 library against: the KKT gap of a dual point, a grid search over tiny box
-QPs, the vectorized SMO loop that qp.solve_smo must match bit for bit, the
+QPs, the SMO loop that qp.solve_smo must match within stated bounds, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
 bit for bit, the d-space scatter factor with the lambda cap and the Gram
 formed from it, which scatter.build_factor's n-space path must match within
@@ -71,8 +71,10 @@ def smo_reference(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DualSolution:
-    """qp.solve_smo's algorithm as a loop that rebuilds the gradient's score
-    and both masks over every coordinate each step."""
+    """The maximal-violating-pair (SMO) ascent that qp.solve_smo's
+    active-set method replaced, as a loop that rebuilds the gradient's score
+    and both masks over every coordinate each step. It stops on the same
+    gap, at most tol."""
     if not tol > 0:
         raise QpError("tol must be positive")
     G, y, upper = problem.G, problem.y, problem.upper

@@ -180,11 +180,24 @@ class TestCv:
         assert json.loads(summary)["seed"] == 7
         assert summary == (from_flag / "summary.json").read_bytes()
 
+    def test_a_config_file_with_a_byte_order_mark_reads_as_the_plain_one(self, tmp_path):
+        doc = {**SMALL_CV, "method": "rmdd"}
+        rc, plain = cv_with_config(tmp_path, "plain", doc)
+        assert rc == 0
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+        assert run("cv", "--data", tmp_path / "data.csv", "--config", marked,
+                   "--out-dir", tmp_path / "marked") == 0
+        for name in ("summary.json", "repeat_000.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == (plain / name).read_bytes()
+
     def test_warns_when_an_outer_fold_model_did_not_converge(self, tmp_path, capsys):
         rc, _ = cv_with_config(tmp_path, "default", SMALL_CV)
         assert rc == 0
         assert "warning" not in capsys.readouterr().err
-        rc, capped_dir = cv_with_config(tmp_path, "capped", {**SMALL_CV, "max_iter": 1})
+        # at c0 = 2^-5 the caps bind, and the dual takes more than one step
+        rc, capped_dir = cv_with_config(tmp_path, "capped",
+                                        {**SMALL_CV, "c0_grid": [2.0**-5], "max_iter": 1})
         assert rc == 0
         assert "warning: dual solver did not reach tolerance in 2 outer-fold model(s)" \
             in capsys.readouterr().err
@@ -353,6 +366,18 @@ class TestModelAndPredictionFiles:
                        "--out", tmp_path / f"{name}.csv") == 0
             outputs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_a_model_file_with_a_byte_order_mark_loads_as_the_plain_one(self, tmp_path, saved):
+        data, model = saved
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        got, want = classifier.load_model(marked), classifier.load_model(model)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert classifier.model_to_dict(got) == classifier.model_to_dict(want)
+        for name, path in (("plain", model), ("marked", marked)):
+            assert run("predict", "--model", path, "--data", data,
+                       "--out", tmp_path / f"{name}.csv") == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "marked.csv").read_bytes()
 
     @staticmethod
     def predict_with(tmp_path, capsys, data, doc) -> str:

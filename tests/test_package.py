@@ -6,9 +6,12 @@ import psc
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency; a user's process must not pay for it
+    # scipy is a test-only dependency; a user's process must not pay for it,
+    # neither on import nor when a fit solves its dual
     src = Path(psc.__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import psc; "
+            "data = psc.simulate_hdlss(50, 6, 4, 1); "
+            "psc.fit_psc(data, psc.Hyperparams()); psc.fit_cssvm(data); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, check=True, timeout=120)

@@ -3,7 +3,7 @@ import pytest
 
 from psc import classifier, qp
 from psc.crossval import ExperimentConfig, cv_run
-from psc.dataset import simulate_hdlss
+from psc.dataset import LabeledMatrix, simulate_fig1, simulate_hdlss
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, QpError, objective, solve_smo
 from tests.oracles import brute_force_small, kkt_violation, smo_reference
 
@@ -120,26 +120,34 @@ class TestSolveSmo:
         assert diffs.min() >= -1e-12
 
     def test_iteration_cap(self):
-        # the residual is that of the returned alpha: seed 11 is solved by
-        # its one step, so a cap of 1 still converges
-        p = random_small_problem(11, n=3)
+        # the residual is that of the returned alpha. A problem solved by its
+        # one step converges under a cap of 1; one that needs more steps
+        # returns alpha = 0 under a cap of 0 and its first iterate under 1
+        problems = [random_small_problem(seed, n=4) for seed in range(20)]
+        steps = [solve_smo(p).iterations for p in problems]
+        p = problems[steps.index(1)]
         sol = solve_smo(p, max_iter=1)
         assert sol.converged
         assert sol.iterations == 1
         assert sol.kkt_residual == kkt_violation(p, sol.alpha)
-        p = random_small_problem(3, n=3)  # 8 iterations uncapped
-        assert solve_smo(p).iterations > 1
+        p = problems[next(k for k, s in enumerate(steps) if s > 1)]
         for cap in (0, 1):
             sol = solve_smo(p, max_iter=cap)
             assert not sol.converged
             assert sol.iterations == cap
             assert sol.kkt_residual == pytest.approx(kkt_violation(p, sol.alpha), rel=1e-12)
+        assert np.array_equal(solve_smo(p, max_iter=0).alpha, np.zeros(p.n))
 
     def test_degenerate_zero_curvature(self):
         # G = 0 has zero curvature along every pair; ascent runs to the walls
         g = np.zeros((2, 2))
         sol = solve_smo(BoxQP(g, Y2, [1.0, 0.25]))
         assert np.allclose(sol.alpha, [0.25, 0.25], atol=1e-12)
+
+    def test_an_unbounded_dual_is_an_error(self):
+        # infinite caps and zero curvature: the objective grows without end
+        with pytest.raises(QpError, match="unbounded"):
+            solve_smo(BoxQP(np.zeros((2, 2)), Y2, [np.inf, np.inf]))
 
 
 class TestUpperActive:
@@ -247,28 +255,50 @@ def repeat_duals():
     return captured
 
 
-def assert_matches_reference(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def assert_near_reference(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, alpha_rel=None):
+    """The solve meets the reference's stopping rule, its objective is no
+    lower than the reference's beyond rounding, and, where alpha_rel is
+    given, its alpha is within alpha_rel * max(alpha_ref) of the reference's."""
     ref = smo_reference(problem, tol, max_iter)
-    # a cap one step past the reference's count leaves the solve as it is,
-    # and bounds the run of a kernel that strays from the reference
-    assert_same_solve(solve_smo(problem, tol, min(max_iter, ref.iterations + 1)), ref)
+    sol = solve_smo(problem, tol, max_iter)
+    assert sol.converged and ref.converged
+    assert kkt_violation(problem, sol.alpha) <= tol
+    assert sol.objective >= ref.objective - 1e-12 * abs(ref.objective)
+    if alpha_rel is not None:
+        assert np.abs(sol.alpha - ref.alpha).max() <= alpha_rel * ref.alpha.max()
+    return sol
 
 
 class TestMatchesReference:
-    """solve_smo carries its score and masks from step to step; it must take
-    the reference loop's steps and return its solution bit for bit."""
+    """solve_smo is an exact method and smo_reference stops at a gap of tol,
+    so the two agree within bounds, not bit for bit: the KKT gap at most tol,
+    the objective no lower than the reference's less 1e-12 relative, and
+    alpha within a bound set 7-9 times above the largest difference
+    measured on each family (1.1e-6 and 1.3e-6 of max alpha on the repeat
+    and random duals, 1.3e-5 around the caps, where the reference stops
+    further from the optimum)."""
 
     def test_the_duals_of_a_cv_repeat_and_of_wide_fits(self, repeat_duals):
         assert len(repeat_duals) > 100
         for problem, tol, max_iter in repeat_duals:
-            assert_matches_reference(problem, tol, max_iter)
+            assert_near_reference(problem, tol, max_iter, alpha_rel=1e-5)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3, 7, DEFAULT_MAX_ITER])
     def test_random_problems_under_every_iteration_cap(self, max_iter):
         for n in range(2, 21):
             for seed in range(5):
-                assert_matches_reference(random_small_problem(100 * n + seed, n=n),
-                                         max_iter=max_iter)
+                p = random_small_problem(100 * n + seed, n=n)
+                if max_iter == DEFAULT_MAX_ITER:
+                    assert_near_reference(p, alpha_rel=1e-5)
+                    continue
+                # a capped solve returns a feasible iterate with its own gap,
+                # no better than the uncapped optimum
+                sol = solve_smo(p, max_iter=max_iter)
+                assert sol.iterations == max_iter or sol.converged
+                assert sol.kkt_residual == pytest.approx(kkt_violation(p, sol.alpha), rel=1e-12)
+                assert np.all((sol.alpha >= 0.0) & (sol.alpha <= p.upper))
+                assert abs(sol.alpha @ p.y) <= 1e-12 * p.upper.sum()
+                assert sol.objective <= solve_smo(p).objective + 1e-12
 
     def test_caps_around_the_largest_free_multiplier(self):
         problems = [separable_wide_problem(seed)[0] for seed in range(10)]
@@ -276,19 +306,89 @@ class TestMatchesReference:
         for p in problems:
             top = smo_reference(BoxQP(p.G, p.y, np.full(p.n, 1e6))).alpha.max()
             for scale in (0.3, 0.5, 0.8, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-9, 1.2, 1.5):
-                assert_matches_reference(BoxQP(p.G, p.y, np.full(p.n, scale * top)))
+                assert_near_reference(BoxQP(p.G, p.y, np.full(p.n, scale * top)), alpha_rel=1e-4)
 
-    @pytest.mark.parametrize("problem", [
-        BoxQP(I2, [1.0, 1.0], [1.0, 1.0]),  # one class: the working set is empty
-        BoxQP(I2, [-1.0, -1.0], [1.0, 2.0]),
-        BoxQP(np.zeros((2, 2)), Y2, [1.0, 0.25]),  # zero curvature
-        BoxQP(np.zeros((4, 4)), [1.0, -1.0, -1.0, 1.0], [0.5, 1.0, 0.25, 2.0]),
-        BoxQP(I2, Y2, [0.5, 0.5]),  # clipped at the caps
-        BoxQP(I2, Y2, [2.0, 2.0]),  # interior optimum
+    @pytest.mark.parametrize("problem, unique", [
+        (BoxQP(I2, [1.0, 1.0], [1.0, 1.0]), True),  # one class: the working set is empty
+        (BoxQP(I2, [-1.0, -1.0], [1.0, 2.0]), True),
+        (BoxQP(np.zeros((2, 2)), Y2, [1.0, 0.25]), True),  # zero curvature
+        (BoxQP(np.zeros((4, 4)), [1.0, -1.0, -1.0, 1.0], [0.5, 1.0, 0.25, 2.0]), False),
+        (BoxQP(I2, Y2, [0.5, 0.5]), True),  # clipped at the caps
+        (BoxQP(I2, Y2, [2.0, 2.0]), True),  # interior optimum
     ], ids=["one-class-pos", "one-class-neg", "zero-G", "zero-G-4", "clipped", "interior"])
-    def test_edge_cases(self, problem):
-        assert_matches_reference(problem)
+    def test_edge_cases(self, problem, unique):
+        # zero-G-4's optimum is a segment (alpha_0 + alpha_3 = 1.25), so only
+        # its objective is held to the reference
+        sol = assert_near_reference(problem, alpha_rel=1e-12 if unique else None)
+        assert sol.objective == pytest.approx(smo_reference(problem).objective, rel=1e-12, abs=0.0)
 
     def test_rejects_a_nonpositive_tol(self):
         with pytest.raises(QpError, match="tol must be positive"):
             solve_smo(BoxQP(I2, Y2, [1.0, 1.0]), tol=0.0)
+
+
+def duals_of(fits):
+    """The duals that running fits() hands to the solver."""
+    captured = []
+    real = qp.solve_smo
+
+    def record(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+        captured.append(problem)
+        return real(problem, tol, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp, "solve_smo", record)
+        fits()
+    return captured
+
+
+def with_duplicates(data, rows):
+    return LabeledMatrix(np.vstack([data.samples, data.samples[rows]]),
+                         np.concatenate([data.labels, data.labels[rows]]))
+
+
+def fig1_fits():
+    for n_pos, n_neg in ((5, 65), (12, 65), (32, 65), (65, 65)):
+        data = simulate_fig1(n_pos, n_neg, n_pos)
+        for method in ("psc", "cssvm"):
+            for c0 in (2.0**-5, 1.0, 32.0):
+                classifier.fit(method, data, classifier.Hyperparams(c0=c0))
+
+
+def duplicate_row_fits():
+    base = simulate_hdlss(200, 10, 12, 1)
+    for rows in ([0, 1, 2, 15, 16], [0, 0, 0, 21]):
+        for method in ("psc", "cssvm"):
+            classifier.fit(method, with_duplicates(base, rows), classifier.Hyperparams())
+
+
+def binding_cap_fits():
+    data = simulate_hdlss(20, 40, 20, 3)
+    for method in ("psc", "cssvm"):
+        classifier.fit(method, data, classifier.Hyperparams(c0=2.0**-5))
+
+
+class TestDegenerateDuals:
+    """Duals whose faces are singular (more rows than dimensions, equal
+    rows, a zero Gram) or whose caps bind: each solve converges, raises
+    nothing, and reaches the reference's objective."""
+
+    @pytest.mark.parametrize("fits, count", [
+        (fig1_fits, 24), (duplicate_row_fits, 4), (binding_cap_fits, 2),
+    ], ids=["fig1", "duplicate-rows", "binding-caps"])
+    def test_the_duals_of_degenerate_fits(self, fits, count):
+        problems = duals_of(fits)
+        assert len(problems) == count
+        for problem in problems:
+            assert_near_reference(problem)
+
+    def test_binding_caps_bind(self):
+        assert all(solve_smo(p).upper_active for p in duals_of(binding_cap_fits))
+
+    @pytest.mark.parametrize("problem", [
+        BoxQP(np.zeros((6, 6)), [1.0, -1.0, 1.0, -1.0, -1.0, 1.0], [0.5, 1.0, 0.25, 2.0, 1.0, 1.0]),
+        BoxQP(np.zeros((3, 3)), [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        BoxQP(np.ones((3, 3)), [-1.0, -1.0, -1.0], [1.0, 2.0, 3.0]),
+    ], ids=["zero-G", "zero-G-one-class", "one-class"])
+    def test_a_zero_gram_and_one_class(self, problem):
+        assert_near_reference(problem)
