@@ -29,8 +29,16 @@ from .dataset import (
 from .intercept import Projections, choose_intercept
 from .metrics import ConfusionMatrix, EvalReport, bccr, evaluate, mwe
 from .qp import BoxQP, DualSolution, solve_smo
-from .scatter import PopulationFactor, beta, build_factor
-from .smw import SmwOperator, apply_inverse, build_operator, gram, lambda_cap
+from .smw import (
+    PopulationFactor,
+    SmwOperator,
+    apply_inverse,
+    beta,
+    build_factor,
+    build_operator,
+    gram,
+    lambda_cap,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

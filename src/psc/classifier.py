@@ -14,7 +14,7 @@ import numpy as np
 from . import intercept, qp, smw
 from .dataset import ClassStats, LabeledMatrix, _freeze, class_stats
 from .intercept import Projections, choose_intercept
-from .scatter import PopulationFactor, build_factor
+from .smw import PopulationFactor, build_factor
 
 
 class FitError(ValueError):
@@ -257,6 +257,8 @@ def fit_rmdd(
 
 
 METHODS = ("psc", "cssvm", "rmdd")
+# what a fit raises on data it cannot fit; any other error propagates
+FIT_ERRORS = (FitError, smw.SmwError, qp.QpError, intercept.InterceptError)
 
 
 def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:

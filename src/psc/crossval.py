@@ -7,16 +7,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import classifier, intercept, qp, smw
-from .classifier import Hyperparams, LinearModel
+from . import classifier
+from .classifier import FIT_ERRORS, Hyperparams, LinearModel
 from .dataset import DatasetError, LabeledMatrix, stratified_kfold
 from .metrics import EvalReport, evaluate
 
 DEFAULT_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_C0_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5)
 SELECTION_METRICS = ("bccr", "total_ccr", "mwe")
-# what a fit raises on data it cannot fit; any other error propagates
-FIT_ERRORS = (classifier.FitError, smw.SmwError, qp.QpError, intercept.InterceptError)
 # keyed by ExperimentConfig's annotations, which are strings under the __future__ import
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
@@ -129,17 +127,14 @@ def tune_and_fit(
     """
     train = LabeledMatrix(samples[train_idx], labels[train_idx])
     grid = _candidate_grid(config)
-    best = grid[0]
+    scores = {}
     if len(grid) > 1:
         inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
         scores = {hp: [] for hp in grid}
         for f in range(config.inner_folds):
             _score_inner_fold(train, inner.train_indices(f), inner.test_indices(f), scores, config)
-        best_key = None
-        for hp, cell_scores in scores.items():
-            key = (-float(np.mean(cell_scores)), hp.c0, hp.gamma)  # ties: smaller c0, then gamma
-            if best_key is None or key < best_key:
-                best_key, best = key, hp
+    # ties: smaller c0, then gamma, then the first cell in grid order
+    best = min(scores, key=lambda hp: (-float(np.mean(scores[hp])), hp.c0, hp.gamma), default=grid[0])
     model = classifier.fit(config.method, train, best)
     return model, (best.gamma, best.c0)
 
@@ -150,7 +145,6 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
     samples, labels = data.samples, data.labels
     repeats_out = []
     all_labels, all_decisions = [], []
-    per_repeat_scores = {metric: [] for metric in SELECTION_METRICS}
     for rep in range(config.repeats):
         outer = stratified_kfold(labels, config.outer_folds, seed=config.seed + rep)
         fold_reports = []
@@ -185,11 +179,10 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
             "folds": fold_reports,
             "pooled": asdict(pooled),
         })
-        for metric, scores in per_repeat_scores.items():
-            scores.append(getattr(pooled, metric))
         all_labels.extend(rep_labels)
         all_decisions.extend(rep_decisions)
     grand = evaluate(np.concatenate(all_labels), np.concatenate(all_decisions))
+    per_repeat = {k: [rep["pooled"][k] for rep in repeats_out] for k in SELECTION_METRICS}
     summary = {
         "method": config.method,
         "repeats": config.repeats,
@@ -198,7 +191,7 @@ def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
         "selection_metric": config.selection_metric,
         "seed": config.seed,
         "pooled": asdict(grand),
-        "per_repeat_mean": {k: float(np.mean(v)) for k, v in per_repeat_scores.items()},
-        "per_repeat_std": {k: float(np.std(v)) for k, v in per_repeat_scores.items()},
+        "per_repeat_mean": {k: float(np.mean(v)) for k, v in per_repeat.items()},
+        "per_repeat_std": {k: float(np.std(v)) for k, v in per_repeat.items()},
     }
     return {"repeats": repeats_out, "summary": summary}

@@ -1,27 +1,32 @@
-"""Woodbury-identity operator for M = [I - lam*(beta*S_B + S_W)]^-1.
+"""The population factor of beta*S_B + S_W and the Woodbury-identity operator
+for M = [I - lam*(beta*S_B + S_W)]^-1, both worked in (n+1)-dimensional space.
 
-All work happens in (n+1)-dimensional space. With C = diag(sqrt(L_tau)) D,
-the factor carries one eigendecomposition C C^T = U diag(s) U^T per training
-set, and every lambda shares it:
+The scatter matrix is C^T C with C = diag(sqrt(L_tau)) D, where D = E X is
+a fixed combination of the n training rows X. The small matrix
+C C^T = U diag(s) U^T has its nonzero eigenvalues, and the factor carries
+that one eigendecomposition per training set; every lambda shares it:
 
     M V = V + C^T U diag(lam / (1 - lam*s)) U^T C V
 
 The PD cap is 1/max(s), and for any lam below it the dual Gram is
 y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. The
-factor carries X X^T and P, so a lambda costs n-space work only. D = E X is
-never formed either: M V applies it as E (X V) and D^T as X^T (E^T z), so
-the only d-length work is two products with the n training rows. No d x d
-matrix is ever materialized, and no matrix is factored per lambda.
+factor carries xx = X X^T and xp = P, so a lambda costs n-space work only.
+
+All of the factor comes from one n x n Gram of the mean-centred training
+rows, and D itself is never formed: M V applies it as E (X V) and D^T as
+X^T (E^T z), so the only d-length work is products with the n training
+rows. No d x d or (n+1) x d matrix is ever materialized, and no matrix is
+factored per lambda.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledMatrix
-from .scatter import PopulationFactor
+from .dataset import ClassStats, LabeledMatrix
 
 
 class SmwError(ValueError):
@@ -29,9 +34,80 @@ class SmwError(ValueError):
 
 
 @dataclass(frozen=True)
+class PopulationFactor:
+    """Factor of beta*S_B + S_W.
+
+    X holds the training rows (samples, in the data's row order) and E the
+    (n+1) x n centring weights: row k < n of D = E X is x_i - u_class(i) for
+    the k-th training row in class order (all +1 rows first), and the last
+    row is u1 - u2. Every row of E sums to zero, so D = E (X - 1 r^T) for
+    any r. The row weights L_tau are 1/n1, 1/n2 and beta on the matching
+    rows. spectrum is s ascending and basis is diag(sqrt(L_tau)) U, so
+    C^T U = D^T basis.
+    """
+
+    samples: np.ndarray  # (n, d) the training rows, read-only, not a copy
+    e_matrix: np.ndarray  # (n+1, n) centring weights, D = E X
+    spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
+    basis: np.ndarray  # (n+1, n+1) diag(sqrt(L_tau)) times the eigenvectors
+    xx: np.ndarray  # (n, n) X X^T
+    xp: np.ndarray  # (n, n+1) X D^T basis
+
+    @property
+    def n(self) -> int:
+        return self.xx.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.samples.shape[1]
+
+
+@dataclass(frozen=True)
 class SmwOperator:
     factor: PopulationFactor
     weights: np.ndarray  # (n+1,) lam / (1 - lam*s) on the factor's spectrum
+
+
+def beta(n1: int, n2: int) -> float:
+    """Imbalance weight m^(-1/4), m = max(n1,n2)/min(n1,n2); in (0, 1]."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("class counts must be positive")
+    m = max(n1, n2) / min(n1, n2)
+    return math.exp(-math.log(m) / 4.0)
+
+
+def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
+    n, n1, n2 = data.n, stats.n1, stats.n2
+    pos = np.flatnonzero(data.labels == 1)
+    neg = np.flatnonzero(data.labels == -1)
+    E = np.zeros((n + 1, n))
+    E[:n1, pos] = -1.0 / n1
+    E[n1:n, neg] = -1.0 / n2
+    E[np.arange(n), np.concatenate([pos, neg])] += 1.0
+    E[n, pos] = 1.0 / n1
+    E[n, neg] = -1.0 / n2
+    l_tau = np.empty(n + 1)
+    l_tau[:n1] = 1.0 / n1
+    l_tau[n1:n] = 1.0 / n2
+    l_tau[n] = beta(n1, n2)
+    # The one d-space step: centre on the training mean r, so that E K E^T
+    # does not cancel a large common offset, and form K = Xc Xc^T.
+    r = (n1 * stats.u1 + n2 * stats.u2) / n
+    Xc = data.samples - r
+    K = Xc @ Xc.T
+    g = Xc @ r
+    EK = E @ K
+    sqrt_l = np.sqrt(l_tau)
+    A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]
+    spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
+    basis = sqrt_l[:, None] * U
+    # X = Xc + 1 r^T, so X X^T = K + g 1^T + 1 g^T + r^T r and
+    # X D^T = X Xc^T E^T = (K + 1 g^T) E^T
+    return PopulationFactor(
+        samples=data.samples, e_matrix=E, spectrum=spectrum, basis=basis,
+        xx=K + g[:, None] + g[None, :] + r @ r,
+        xp=(EK.T + (E @ g)[None, :]) @ basis,
+    )
 
 
 def lambda_cap(factor: PopulationFactor) -> float:

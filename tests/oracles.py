@@ -3,7 +3,7 @@ library against: the KKT gap of a dual point, a grid search over tiny box
 QPs, the SMO loop that qp.solve_smo must match within stated bounds, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
 bit for bit, the d-space scatter factor with the lambda cap and the Gram
-formed from it, which scatter.build_factor's n-space path must match within
+formed from it, which smw.build_factor's n-space path must match within
 stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
 the class means that dataset.standard_normal and dataset.class_stats must
 match bit for bit."""
@@ -15,8 +15,7 @@ import numpy as np
 from psc.dataset import ClassStats, LabeledMatrix, class_stats
 from psc.intercept import Projections
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
-from psc.scatter import beta
-from psc.smw import SmwError, SmwOperator
+from psc.smw import SmwError, SmwOperator, beta
 
 
 def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:

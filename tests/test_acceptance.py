@@ -20,8 +20,7 @@ from psc.dataset import (
 from psc.intercept import Projections, gap_intercept, min_misclass_intercept
 from psc.metrics import ConfusionMatrix, evaluate, report_from_confusion
 from psc.qp import BoxQP, solve_smo
-from psc.scatter import build_factor
-from psc.smw import apply_inverse, build_operator, gram, lambda_cap
+from psc.smw import apply_inverse, build_factor, build_operator, gram, lambda_cap
 from tests.oracles import brute_force_small, dense_scatter
 from tests.table_fixtures import TABLE_ROWS
 from tests.test_intercept import misclass_count

@@ -40,6 +40,16 @@ class TestLabeledMatrix:
         with pytest.raises(DatasetError, match="label count"):
             LabeledMatrix([[0.0], [1.0]], [1, -1, 1])
 
+    @pytest.mark.parametrize("samples, labels, names, message", [
+        ([0.0, 1.0], [1, -1], None, "samples must be a 2-D matrix"),
+        ([[0.0]], [1], None, "need at least 2 samples"),
+        ([[0.0], [1.0], [2.0]], [1, 0, -1], None, r"labels must be \+1 or -1"),
+        ([[0.0, 1.0], [1.0, 0.0]], [1, -1], ("f0",), "feature_names length does not match column count"),
+    ], ids=["1-D", "one-row", "label-0", "feature-names"])
+    def test_rejects_a_malformed_input(self, samples, labels, names, message):
+        with pytest.raises(DatasetError, match=message):
+            LabeledMatrix(samples, labels, names)
+
     def test_immutable(self):
         data = LabeledMatrix([[0.0], [1.0]], [1, -1])
         with pytest.raises(ValueError):
@@ -114,6 +124,17 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="label column 'f1' is also a feature name"):
             write_csv(simulate_hdlss(3, 2, 2, seed=0), path, label_column="f1")
         assert not path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("x,y\n1,a\n2\n", "row 3 has 1 cells, expected 2"),
+        ("x,y\n", "no data rows"),
+    ], ids=["empty", "short-row", "header-only"])
+    def test_rejects_a_malformed_file(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"t.csv: {message}"):
+            load_csv(path, "y", {"a"})
 
     def test_all_one_class_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -253,6 +274,10 @@ class TestStratifiedKfold:
         with pytest.raises(DatasetError, match="seed must be a non-negative integer, got -1"):
             stratified_kfold([1, 1, -1, -1], 2, seed=-1)
 
+    def test_rejects_one_fold(self):
+        with pytest.raises(DatasetError, match="k must be at least 2"):
+            stratified_kfold([1, 1, -1, -1], 1, seed=0)
+
     def test_rejects_a_label_other_than_plus_or_minus_one(self):
         # the 0 and 5 rows got fold numbers from uninitialised memory
         with pytest.raises(DatasetError, match=r"labels must be \+1 or -1"):
@@ -302,6 +327,14 @@ class TestSimulators:
         z = standard_normal(make_rng(1), (200_000,))
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("simulate, args, message", [
+        (simulate_hdlss, (5, 0, 3), "d and class counts must be positive"),
+        (simulate_fig1, (3, 0), "class counts must be positive"),
+    ], ids=["hdlss", "fig1"])
+    def test_rejects_a_zero_class_count(self, simulate, args, message):
+        with pytest.raises(DatasetError, match=message):
+            simulate(*args, seed=0)
 
     def test_rejects_a_negative_seed(self):
         with pytest.raises(DatasetError, match="seed must be a non-negative integer, got -2"):

@@ -21,6 +21,16 @@ def misclass_count(p, b):
     return int((pos + b < 0).sum()) + int((neg + b >= 0).sum())
 
 
+class TestProjections:
+    @pytest.mark.parametrize("pos, neg, message", [
+        ([], [0.0, 1.0], "both classes need at least one projection"),
+        ([1.0, np.inf], [0.0], "projections must be finite"),
+    ], ids=["empty-class", "non-finite"])
+    def test_rejects_a_malformed_input(self, pos, neg, message):
+        with pytest.raises(InterceptError, match=message):
+            Projections(pos, neg)
+
+
 class TestIsSeparable:
     def test_separated(self):
         assert is_separable(Projections([3, 4], [0, 1]))

@@ -1,8 +1,11 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 import psc
+
+PACKAGE = Path(psc.__file__).resolve().parent
 
 
 def test_import_loads_no_scipy():
@@ -44,3 +47,34 @@ def test_a_failing_given_test_does_not_hide_the_tests_after_it(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert proc.returncode == 1
+
+
+def package_imports(module: str) -> set[str]:
+    """The psc modules that src/psc/<module>.py imports, read from its source."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("psc."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "psc":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # from . import a, b
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_import_layering():
+    # one module owns the population factor and its inverse, and crossval
+    # reaches the fit's layers only through classifier
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
+    assert "smw" in modules and "scatter" not in modules
+    for module in modules:
+        assert "scatter" not in package_imports(module), module
+    assert package_imports("crossval") == {"classifier", "dataset", "metrics"}
+    assert package_imports("smw") == {"dataset"}

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,14 @@ class TestBoxQP:
         # wrongly, which the c0 memo reads as valid at every larger cap
         with pytest.raises(QpError, match="positive"):
             solve_smo(BoxQP(I2, Y2, [np.nan, 1.0]), max_iter=10)
+
+    @pytest.mark.parametrize("g, upper, message", [
+        (np.eye(3), [1.0, 1.0], r"G shape \(3, 3\) does not match n=2"),
+        (I2, [1.0, 1.0, 1.0], "upper bound vector length mismatch"),
+    ], ids=["G", "caps"])
+    def test_rejects_a_wrong_size(self, g, upper, message):
+        with pytest.raises(QpError, match=message):
+            BoxQP(g, Y2, upper)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_g(self, bad):
@@ -360,6 +371,64 @@ def duplicate_row_fits():
     for rows in ([0, 1, 2, 15, 16], [0, 0, 0, 21]):
         for method in ("psc", "cssvm"):
             classifier.fit(method, with_duplicates(base, rows), classifier.Hyperparams())
+
+
+def exit_line(condition: str) -> int:
+    """The line number of the break that follows the line condition in
+    solve_smo."""
+    lines, start = inspect.getsourcelines(solve_smo)
+    stripped = [line.strip() for line in lines]
+    k = stripped.index(condition)
+    assert stripped[k + 1] == "break"
+    return start + k + 1
+
+
+def lines_run(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the set of fn's own line numbers it ran."""
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is fn.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
+    return result, ran
+
+
+def one_feature_dual(x, y):
+    """G = (y y^T) o (X X^T) for one feature column x, with caps of 1."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return BoxQP(np.outer(y, y) * np.outer(x, x), y, np.ones(y.size))
+
+
+class TestUnconvergedExits:
+    """With tol below the Gram's rounding, a face optimum still leaves a
+    gap above tol, and the solve stops at one of its two unconverged exits.
+    It returns the default-tol solve's alpha and gap, bit for bit."""
+
+    @pytest.mark.parametrize("x, y, condition, steps", [
+        ([-2560, 420, -570, -450, -220], [1, -1, -1, 1, 1], "if not excess:", 8),
+        ([1400, 50, 500, -1600, -70], [1, -1, 1, 1, 1], "if key in seen:", 7),
+    ], ids=["no-bound-row-violates", "a-working-set-repeats"])
+    def test_a_tol_below_rounding(self, x, y, condition, steps):
+        problem = one_feature_dual(x, y)
+        sol, ran = lines_run(solve_smo, problem, tol=1e-12)
+        assert exit_line(condition) in ran
+        assert not sol.converged and sol.iterations == steps
+        assert sol.kkt_residual > 1e-12
+        default = solve_smo(problem)
+        assert default.converged
+        assert sol.alpha.tobytes() == default.alpha.tobytes()
+        assert sol.kkt_residual == default.kkt_residual
 
 
 def binding_cap_fits():

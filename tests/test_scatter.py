@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss
-from psc.scatter import beta, build_factor
+from psc.smw import beta, build_factor
 from tests.oracles import dense_scatter, scatter_rows
 
 
@@ -37,6 +37,10 @@ class TestBeta:
 
     def test_symmetric(self):
         assert beta(3, 12) == beta(12, 3)
+
+    def test_rejects_an_empty_class(self):
+        with pytest.raises(ValueError, match="class counts must be positive"):
+            beta(0, 3)
 
     def test_range(self):
         for n1, n2 in [(1, 1), (1, 1000), (17, 3)]:

@@ -3,8 +3,7 @@ import pytest
 
 from psc.crossval import DEFAULT_GAMMA_GRID
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss, stratified_kfold
-from psc.scatter import build_factor
-from psc.smw import SmwError, SmwOperator, apply_inverse, build_operator, gram, lambda_cap
+from psc.smw import SmwError, SmwOperator, apply_inverse, build_factor, build_operator, gram, lambda_cap
 from tests.oracles import dense_scatter, gram_reference, lambda_cap_reference
 from tests.test_scatter import random_instance
 
