@@ -84,16 +84,15 @@ class LinearModel:
 def decision(model: LinearModel, x: np.ndarray) -> np.ndarray | float:
     """w^T x + b for a single vector or a matrix of row vectors."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.d:
-        raise FitError(f"dimension mismatch: model is {model.d}-dimensional, got {x.shape[-1]}")
+    if x.ndim not in (1, 2) or x.shape[-1] != model.d:
+        raise FitError(f"dimension mismatch: model takes {model.d}-vectors or rows of them, got shape {x.shape}")
     out = x @ model.w + model.b
     return float(out) if out.ndim == 0 else out
 
 
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray | int:
     """sign(decision) with zero classified as +1."""
-    dec = decision(model, x)
-    out = np.where(np.asarray(dec) >= 0.0, 1, -1)
+    out = np.where(np.asarray(decision(model, x)) >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
 
 

@@ -40,6 +40,8 @@ class BoxQP:
         y = np.asarray(self.y, dtype=np.float64).ravel()
         upper = np.asarray(self.upper, dtype=np.float64).ravel()
         n = y.shape[0]
+        if n == 0:
+            raise QpError("the problem has no rows (n=0)")
         if G.shape != (n, n):
             raise QpError(f"G shape {G.shape} does not match n={n}")
         if upper.shape[0] != n:

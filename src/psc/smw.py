@@ -8,15 +8,15 @@ that one eigendecomposition per training set; every lambda shares it:
 
     M V = V + C^T U diag(lam / (1 - lam*s)) U^T C V
 
-The PD cap is 1/max(s), and for any lam below it the dual Gram is
-y o (X X^T + P diag(lam / (1 - lam*s)) P^T) o y with P = X C^T U. The
-factor carries xx = X X^T and xp = P, so a lambda costs n-space work only.
+The PD cap is 1/max(s). Below it every weight lam / (1 - lam*s) is positive,
+so the dual Gram y o (X X^T + P diag(weights) P^T) o y, P = X C^T U, is PSD.
+The factor carries xx = X X^T and xp = P: a lambda costs n-space work only.
 
 All of the factor comes from one n x n Gram of the mean-centred training
 rows, and D itself is never formed: M V applies it as E (X V) and D^T as
 X^T (E^T z), so the only d-length work is products with the n training
 rows. No d x d or (n+1) x d matrix is ever materialized, and no matrix is
-factored per lambda.
+factored or eigensolved per lambda.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class PopulationFactor:
 class SmwOperator:
     factor: PopulationFactor
     weights: np.ndarray  # (n+1,) lam / (1 - lam*s) on the factor's spectrum
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (self.factor.n + 1,) or not (np.isfinite(w) & (w > 0.0)).all():
+            raise SmwError(f"operator weights must be {self.factor.n + 1} finite positive values")
 
 
 def beta(n1: int, n2: int) -> float:
@@ -146,19 +151,13 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
 
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
-    """Dual Gram matrix Y X M X^T Y of the training rows the factor was built
-    from, symmetrized, with a PSD guard. data supplies their labels."""
+    """Dual Gram matrix Y X M X^T Y of the factor's training rows, symmetrized,
+    PSD as the operator's weights are positive. data supplies their labels."""
     factor = op.factor
     if data.d != factor.d:
         raise SmwError("operator was built for a different dimension")
     if data.n != factor.n:
         raise SmwError(f"operator was built on {factor.n} training rows, got {data.n}")
     y = data.labels.astype(np.float64)
-    G0 = factor.xx + (factor.xp * op.weights) @ factor.xp.T
-    G = y[:, None] * G0 * y[None, :]
-    G = (G + G.T) / 2.0
-    eigs = np.linalg.eigvalsh(G)
-    scale = max(abs(eigs[0]), abs(eigs[-1]), 1e-300)
-    if eigs[0] < -1e-8 * scale:
-        raise SmwError(f"Gram matrix not PSD (min eig {eigs[0]:.3e}); lambda too large or numerical breakdown")
-    return G
+    G = y[:, None] * (factor.xx + (factor.xp * op.weights) @ factor.xp.T) * y[None, :]
+    return (G + G.T) / 2.0

@@ -328,6 +328,15 @@ class TestDecision:
         with pytest.raises(FitError, match="dimension"):
             decision(model, np.zeros(3))
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((2, 3, 1))], ids=["0-d", "3-d"])
+    def test_only_a_vector_or_a_matrix_of_rows(self, x):
+        # a 0-d input raised a bare IndexError, and a 3-d one whose last
+        # axis matched the model returned a 2-d array of decisions
+        model = LinearModel(w=np.array([1.0]), b=-2.0, method_tag="rmdd", n1=1, n2=1)
+        for call in (decision, predict):
+            with pytest.raises(FitError, match=r"dimension mismatch: .* got shape"):
+                call(model, x)
+
 
 class TestFitCssvm:
     def test_two_point_analytic(self):

@@ -72,6 +72,11 @@ class TestBoxQP:
         with pytest.raises(QpError, match=message):
             BoxQP(g, Y2, upper)
 
+    def test_rejects_an_empty_problem(self):
+        # numpy's "zero-size array to reduction operation maximum" escaped
+        with pytest.raises(QpError, match="no rows"):
+            BoxQP(np.zeros((0, 0)), [], [])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_g(self, bad):
         # a NaN off-diagonal passed the symmetry test and then ran to

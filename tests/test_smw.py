@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from psc.crossval import DEFAULT_GAMMA_GRID
-from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss, stratified_kfold
+from psc.dataset import LabeledMatrix, class_stats, simulate_fig1, simulate_hdlss, stratified_kfold
 from psc.smw import SmwError, SmwOperator, apply_inverse, build_factor, build_operator, gram, lambda_cap
 from tests.oracles import dense_scatter, gram_reference, lambda_cap_reference
+from tests.test_qp import with_duplicates
 from tests.test_scatter import random_instance
 
 SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
@@ -12,6 +13,30 @@ SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
 
 def scalar_factor():
     return build_factor(SCALAR_DATA, class_stats(SCALAR_DATA))
+
+
+def scaled(data, by):
+    return LabeledMatrix(by * data.samples, data.labels)
+
+
+def offset(data, by):
+    return LabeledMatrix(data.samples + by, data.labels)
+
+
+# data where the Gram's PSD property is easiest to lose to rounding: a
+# large common offset, more rows than dimensions, equal rows, tiny and
+# huge scales
+PSD_FAMILIES = {
+    "random": lambda: [random_instance(33, d_max=40)],
+    "offset-1e4": lambda: [offset(simulate_hdlss(2000, 22, 40, seed=k), 1e4) for k in range(3)],
+    "fig1": lambda: [simulate_fig1(n_pos, 65, n_pos) for n_pos in (5, 12, 32, 65)],
+    "duplicate-rows": lambda: [with_duplicates(simulate_hdlss(200, 10, 12, 1), rows)
+                               for rows in ([0, 1, 2, 15, 16], [0, 0, 0, 21])],
+    "scaled-1e-3": lambda: [scaled(random_instance(33, d_max=40), 1e-3),
+                            scaled(simulate_hdlss(200, 10, 12, 1), 1e-3)],
+    "scaled-1e3": lambda: [scaled(random_instance(33, d_max=40), 1e3),
+                           scaled(simulate_hdlss(200, 10, 12, 1), 1e3)],
+}
 
 
 def dense_m(data, lam):
@@ -91,6 +116,23 @@ class TestBuildOperator:
         m_dense = dense_m(data, lam)
         assert np.abs(m_smw - m_dense).max() <= 1e-8 * np.abs(m_dense).max()
 
+    @pytest.mark.parametrize("bad", [
+        lambda n: np.full(n + 1, -1e3),
+        lambda n: np.r_[np.ones(n), np.nan],
+        lambda n: np.r_[np.inf, np.ones(n)],
+        lambda n: np.r_[np.ones(n // 2), 0.0, np.ones(n - n // 2)],
+        lambda n: np.ones(n),
+        lambda n: np.ones(n + 2),
+        lambda n: np.ones((n + 1, 1)),
+    ], ids=["negative", "nan", "inf", "zero", "short", "long", "column"])
+    def test_weights_no_lambda_gives_are_rejected(self, bad):
+        # the operator's weights are what make the dual Gram PSD, so an
+        # operator that holds any other weights cannot be made
+        data = random_instance(33, d_max=40)
+        f = build_factor(data, class_stats(data))
+        with pytest.raises(SmwError, match=f"weights must be {data.n + 1} finite positive values"):
+            SmwOperator(factor=f, weights=bad(data.n))
+
 
 class TestApplyInverse:
     def test_zero_maps_to_zero(self):
@@ -145,13 +187,17 @@ class TestGram:
             g = gram(op, data)
             assert np.abs(g - g_dense).max() <= 1e-8 * max(np.abs(g_dense).max(), 1.0)
 
-    def test_symmetric_and_psd(self):
-        data = random_instance(33, d_max=40)
-        f = build_factor(data, class_stats(data))
-        op = build_operator(f, 0.9 * lambda_cap(f))
-        g = gram(op, data)
-        assert np.array_equal(g, g.T)
-        assert np.linalg.eigvalsh(g).min() >= -1e-8 * max(np.linalg.norm(g), 1.0)
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.999999, 1.0 - 1e-10])
+    @pytest.mark.parametrize("family", PSD_FAMILIES)
+    def test_symmetric_and_psd(self, family, gamma):
+        # positive operator weights make G PSD by construction; the bound
+        # is the one gram_reference's guard applies
+        for data in PSD_FAMILIES[family]():
+            f = build_factor(data, class_stats(data))
+            g = gram(build_operator(f, gamma * lambda_cap(f)), data)
+            assert np.array_equal(g, g.T)
+            eigs = np.linalg.eigvalsh(g)
+            assert eigs.min() >= -1e-8 * np.abs(eigs).max()
 
     def test_dimension_mismatch(self):
         op = build_operator(scalar_factor(), 1e-3)
@@ -203,16 +249,6 @@ class TestGramMatchesReference:
         f = build_factor(data, s)
         assert lambda_cap(f) == pytest.approx(lambda_cap_reference(data, s), rel=1e-11, abs=0.0)
         assert_close_gram(build_operator(f, 0.5 * lambda_cap(f)), data, bound=1e-11)
-
-    def test_the_psd_guard_fires_as_in_the_reference(self):
-        data = random_instance(33, d_max=40)
-        f = build_factor(data, class_stats(data))
-        op = SmwOperator(factor=f, weights=np.full(data.n + 1, -1e3))  # no lambda gives this
-        with pytest.raises(SmwError, match="not PSD") as ref:
-            gram_reference(op, data)
-        with pytest.raises(SmwError, match="not PSD") as got:
-            gram(op, data)
-        assert str(got.value) == str(ref.value)
 
     def test_rows_other_than_the_factors_are_rejected(self):
         data = random_instance(5, d_max=10)
