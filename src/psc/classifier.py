@@ -23,26 +23,19 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The paper's three settings, checked once here for every method. The
+    dual solve always runs at qp's own tolerance and iteration cap."""
+
     gamma: float = 0.5  # lambda as a fraction of the PD cap
     c0: float = 1.0
     r_scale: float = intercept.DEFAULT_R
-    tol: float = qp.DEFAULT_TOL
-    max_iter: int = qp.DEFAULT_MAX_ITER
 
     def __post_init__(self):
+        # written so that NaN fails each test
         if not 0.0 < self.gamma < 1.0:
             raise FitError(f"gamma must be in (0,1), got {self.gamma}")
-        _check_settings(self.c0, self.r_scale, self.tol, self.max_iter)
-
-
-def _check_settings(c0: float, r_scale: float, tol: float, max_iter: int) -> None:
-    # written so that NaN fails each test
-    if not (c0 > 0 and r_scale > 0):
-        raise FitError(f"c0 and r_scale must be positive, got {c0} and {r_scale}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise FitError(f"tol must be finite and positive, got {tol}")
-    if not max_iter >= 1:
-        raise FitError(f"max_iter must be at least 1, got {max_iter}")
+        if not (self.c0 > 0 and self.r_scale > 0):
+            raise FitError(f"c0 and r_scale must be positive, got {self.c0} and {self.r_scale}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,8 @@ def _class_weights(y: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return np.where(y > 0, 1.0, n1 / n2)
 
 
-def _solve_dual(G: np.ndarray, y: np.ndarray, caps: np.ndarray, tol: float, max_iter: int):
-    sol = qp.solve_smo(qp.BoxQP(G=G, y=y, upper=caps), tol=tol, max_iter=max_iter)
+def _solve_dual(G: np.ndarray, y: np.ndarray, caps: np.ndarray):
+    sol = qp.solve_smo(qp.BoxQP(G=G, y=y, upper=caps))
     if not np.any(sol.alpha):
         raise FitError("trivial dual: all multipliers are zero (c0 too small)")
     return sol
@@ -151,7 +144,7 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     """Fit psc; a prepared TrainingSet shares its factor and its c0 path
     across many fits."""
     train = _prepared(data)
-    key = ("psc", hp.gamma, hp.r_scale, hp.tol, hp.max_iter)
+    key = ("psc", hp.gamma, hp.r_scale)
     model = train.recall(key, hp.c0)
     if model is not None:
         return replace(model, c0=hp.c0)
@@ -163,7 +156,7 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     op = smw.build_operator(train.factor, lam)
     G = smw.gram(op, data)
     y = data.labels.astype(np.float64)
-    sol = _solve_dual(G, y, hp.c0 * _class_weights(y, stats.n1, stats.n2), hp.tol, hp.max_iter)
+    sol = _solve_dual(G, y, hp.c0 * _class_weights(y, stats.n1, stats.n2))
     w = smw.apply_inverse(op, data.samples.T @ (data.labels * sol.alpha))
     b = _intercept(data.samples @ w, data.labels, hp.r_scale)
     model = LinearModel(
@@ -187,26 +180,24 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
 def fit_cssvm(
     data: LabeledMatrix | TrainingSet,
     c0: float = Hyperparams.c0,
-    tol: float = qp.DEFAULT_TOL,
-    max_iter: int = qp.DEFAULT_MAX_ITER,
-    r_scale: float = intercept.DEFAULT_R,
+    r_scale: float = Hyperparams.r_scale,
 ) -> LinearModel:
     """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram).
     Its Gram has no c0, so a prepared TrainingSet shares one dual solve
     across the c0 path; the intercept depends on the caps and is set anew."""
-    _check_settings(c0, r_scale, tol, max_iter)
+    Hyperparams(c0=c0, r_scale=r_scale)  # the settings check
     train = _prepared(data)
     data, stats = train.data, train.stats
     y = data.labels.astype(np.float64)
     caps = c0 * _class_weights(y, stats.n1, stats.n2)
-    key = ("cssvm", tol, max_iter)
+    key = ("cssvm",)
     hit = train.recall(key, c0)
     if hit is not None:
         sol, w, proj = hit
     else:
         G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
         G = (G + G.T) / 2.0
-        sol = _solve_dual(G, y, caps, tol, max_iter)
+        sol = _solve_dual(G, y, caps)
         w = _freeze(data.samples.T @ (y * sol.alpha))  # shared by the memo and its models
         proj = data.samples @ w
         if not sol.upper_active:
@@ -232,11 +223,10 @@ def fit_cssvm(
 
 def fit_rmdd(
     data: LabeledMatrix | TrainingSet,
-    r_scale: float = intercept.DEFAULT_R,
+    r_scale: float = Hyperparams.r_scale,
 ) -> LinearModel:
     """Unit-norm class-mean difference direction with the adaptive intercept."""
-    if not r_scale > 0:  # also rejects NaN
-        raise FitError(f"r_scale must be positive, got {r_scale}")
+    Hyperparams(r_scale=r_scale)  # the settings check
     train = _prepared(data)
     data, stats = train.data, train.stats
     diff = stats.u1 - stats.u2
@@ -261,15 +251,14 @@ FIT_ERRORS = (FitError, smw.SmwError, qp.QpError, intercept.InterceptError)
 
 
 def fit(method: str, data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
-    """Fit one of METHODS with the settings in hp. psc reads all of them,
-    cssvm reads c0, tol, max_iter and r_scale, and rmdd reads only r_scale.
+    """Fit one of METHODS with the settings in hp. psc reads all three,
+    cssvm reads c0 and r_scale, and rmdd reads only r_scale.
     data may be a prepared TrainingSet, which psc and cssvm fits on it share
     (see TrainingSet)."""
     if method == "psc":
         return fit_psc(data, hp)
     if method == "cssvm":
-        return fit_cssvm(data, c0=hp.c0, tol=hp.tol, max_iter=hp.max_iter,
-                         r_scale=hp.r_scale)
+        return fit_cssvm(data, c0=hp.c0, r_scale=hp.r_scale)
     if method == "rmdd":
         return fit_rmdd(data, r_scale=hp.r_scale)
     raise FitError(f"unknown method {method!r}")
@@ -280,10 +269,13 @@ def bayes_oracle(mu_pos: np.ndarray, mu_neg: np.ndarray, sigma: np.ndarray) -> L
     mu_pos = np.asarray(mu_pos, dtype=np.float64).ravel()
     mu_neg = np.asarray(mu_neg, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64)
+    not_spd = "covariance matrix is not symmetric positive definite"
+    if not np.array_equal(sigma, sigma.T):  # cholesky reads only the lower triangle
+        raise FitError(not_spd)
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise FitError("covariance matrix is not symmetric positive definite") from None
+        raise FitError(not_spd) from None
     w = np.linalg.solve(sigma, mu_pos - mu_neg)
     b = float(-0.5 * w @ (mu_pos + mu_neg))
     return LinearModel(w=w, b=b, method_tag="bayes")
@@ -337,16 +329,19 @@ def load_model(path) -> LinearModel:
     converged = doc.get("converged", True)
     if not isinstance(converged, bool):
         raise bad(f"converged must be true or false, got {converged!r}")
-    return LinearModel(
-        w=np.asarray(w, dtype=np.float64),
-        b=numbers["b"],
-        method_tag=doc["method_tag"],
-        n1=int(counts["n1"]),
-        n2=int(counts["n2"]),
-        gamma=settings["gamma"],
-        lam=settings["lambda"],
-        c0=settings["c0"],
-        r_scale=settings["r_scale"],
-        converged=converged,
-        kkt_residual=numbers["kkt_residual"],
-    )
+    try:
+        return LinearModel(
+            w=np.asarray(w, dtype=np.float64),
+            b=numbers["b"],
+            method_tag=doc["method_tag"],
+            n1=int(counts["n1"]),
+            n2=int(counts["n2"]),
+            gamma=settings["gamma"],
+            lam=settings["lambda"],
+            c0=settings["c0"],
+            r_scale=settings["r_scale"],
+            converged=converged,
+            kkt_residual=numbers["kkt_residual"],
+        )
+    except FitError as exc:  # a non-finite or all-zero w, or a non-finite b
+        raise bad(str(exc)) from None

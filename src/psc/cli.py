@@ -44,8 +44,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = _load(args.train, args.label_column, args.positive)
-    hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale,
-                     tol=args.tol, max_iter=args.max_iter)
+    hp = Hyperparams(gamma=args.gamma, c0=args.c0, r_scale=args.r_scale)
     model = classifier.fit(args.method, data, hp)
     classifier.save_model(model, args.out)
     print(f"fitted {args.method} on {data.n} x {data.d}; model written to {args.out}")
@@ -181,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=Hyperparams.gamma)
     p.add_argument("--c0", type=float, default=Hyperparams.c0)
     p.add_argument("--r-scale", type=float, default=Hyperparams.r_scale)
-    p.add_argument("--tol", type=float, default=Hyperparams.tol)
-    p.add_argument("--max-iter", type=int, default=Hyperparams.max_iter)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

@@ -38,8 +38,6 @@ class ExperimentConfig:
     repeats: int = 18
     selection_metric: str = "bccr"
     seed: int = 0
-    tol: float = Hyperparams.tol
-    max_iter: int = Hyperparams.max_iter
 
     def __post_init__(self):
         for f in fields(self):
@@ -70,8 +68,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def hyperparams(self, gamma: float, c0: float) -> Hyperparams:
-        return Hyperparams(gamma=gamma, c0=c0, r_scale=self.r_scale,
-                           tol=self.tol, max_iter=self.max_iter)
+        return Hyperparams(gamma=gamma, c0=c0, r_scale=self.r_scale)
 
 
 def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:

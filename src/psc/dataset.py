@@ -39,6 +39,8 @@ class LabeledMatrix:
         y = np.asarray(self.labels, dtype=np.int64).ravel()
         if X.ndim != 2:
             raise DatasetError("samples must be a 2-D matrix")
+        if X.shape[1] == 0:
+            raise DatasetError("need at least one feature column")
         if X.shape[0] != y.shape[0]:
             raise DatasetError(
                 f"label count {y.shape[0]} does not match sample count {X.shape[0]}"
@@ -179,7 +181,10 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
     labels = np.asarray(labels, dtype=np.int64)
     if (labels == 1).all() or (labels == -1).all():
         raise DatasetError(f"{path}: binarization produced a single class")
-    return LabeledMatrix(np.asarray(rows), labels, feature_names)
+    try:
+        return LabeledMatrix(np.asarray(rows), labels, feature_names)
+    except DatasetError as exc:  # a file that holds only its label column
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _parse_row(path, row_no: int, header: list[str], row: list[str], label_idx: int) -> list[float]:

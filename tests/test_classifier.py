@@ -1,4 +1,5 @@
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -49,22 +50,29 @@ class TestHyperparams:
     @pytest.mark.parametrize("setting, message", [
         ({"c0": float("nan")}, "c0 and r_scale must be positive"),
         ({"r_scale": float("nan")}, "c0 and r_scale must be positive"),
-        ({"tol": float("nan")}, "tol must be finite and positive"),
-        ({"tol": float("inf")}, "tol must be finite and positive"),
-        ({"tol": 0.0}, "tol must be finite and positive"),
-        ({"max_iter": 0}, "max_iter must be at least 1"),
-        ({"max_iter": -5}, "max_iter must be at least 1"),
+        # tol and max_iter are qp.solve_smo's alone: every fit solves at its
+        # defaults, so a fit refuses the two names
+        pytest.param({"tol": float("nan")}, "unexpected keyword argument 'tol'",
+                     id="setting2-tol must not be a setting"),
+        pytest.param({"tol": float("inf")}, "unexpected keyword argument 'tol'",
+                     id="setting3-tol must not be a setting"),
+        pytest.param({"tol": 0.0}, "unexpected keyword argument 'tol'",
+                     id="setting4-tol must not be a setting"),
+        pytest.param({"max_iter": 0}, "unexpected keyword argument 'max_iter'",
+                     id="setting5-max_iter must not be a setting"),
+        pytest.param({"max_iter": -5}, "unexpected keyword argument 'max_iter'",
+                     id="setting6-max_iter must not be a setting"),
     ])
     def test_rejects_settings_that_would_fail_late(self, setting, message):
-        with pytest.raises(FitError, match=message):
+        error = TypeError if "keyword" in message else FitError
+        with pytest.raises(error, match=message):
             Hyperparams(**setting)
-        if "gamma" not in setting:
-            cssvm_setting = {"c0": 1.0, "r_scale": 1.0, "tol": 1e-6, "max_iter": 10, **setting}
-            with pytest.raises(FitError, match=message):
-                fit_cssvm(separable_instance(2), **cssvm_setting)
+        with pytest.raises(error, match=message):
+            fit_cssvm(separable_instance(2), **{"c0": 1.0, "r_scale": 1.0, **setting})
 
-    def test_one_iteration_is_a_valid_cap(self):
-        assert Hyperparams(max_iter=1).max_iter == 1
+    def test_the_fields_are_the_papers_three(self):
+        assert [f.name for f in fields(Hyperparams)] == ["gamma", "c0", "r_scale"]
+        assert list(inspect.signature(fit_cssvm).parameters) == ["data", "c0", "r_scale"]
 
 
 class TestFitPsc:
@@ -95,7 +103,7 @@ class TestFitPsc:
         import psc.classifier as classifier
         from psc.qp import DualSolution
 
-        def zero_solution(problem, tol, max_iter):
+        def zero_solution(problem, *args, **kwargs):
             return DualSolution(np.zeros(problem.n), 0.0, 0.0, 0, True)
 
         monkeypatch.setattr(classifier.qp, "solve_smo", zero_solution)
@@ -135,8 +143,8 @@ def count_solves(monkeypatch):
     solves = []
     real = classifier.qp.solve_smo
 
-    def counting(problem, tol, max_iter):
-        solves.append(real(problem, tol, max_iter))
+    def counting(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
         return solves[-1]
 
     monkeypatch.setattr(classifier.qp, "solve_smo", counting)
@@ -225,10 +233,10 @@ class TestCssvmIntercept:
 class TestFitDispatch:
     def test_fit_matches_each_direct_call_bit_for_bit(self):
         data = simulate_hdlss(30, 12, 6, seed=4)
-        hp = Hyperparams(gamma=0.3, c0=2.0, r_scale=1.5, tol=1e-7, max_iter=5000)
+        hp = Hyperparams(gamma=0.3, c0=2.0, r_scale=1.5)
         direct = {
             "psc": fit_psc(data, hp),
-            "cssvm": fit_cssvm(data, c0=2.0, tol=1e-7, max_iter=5000, r_scale=1.5),
+            "cssvm": fit_cssvm(data, c0=2.0, r_scale=1.5),
             "rmdd": fit_rmdd(data, r_scale=1.5),
         }
         assert tuple(direct) == classifier.METHODS
@@ -392,6 +400,11 @@ class TestBayesOracle:
     def test_non_spd_rejected(self):
         with pytest.raises(FitError, match="positive definite"):
             bayes_oracle(np.ones(2), -np.ones(2), [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_non_symmetric_rejected(self):
+        # cholesky reads only the lower triangle, which here is the identity's
+        with pytest.raises(FitError, match="not symmetric positive definite"):
+            bayes_oracle([1.0, 0.0], [-1.0, 0.0], [[1.0, 5.0], [0.0, 1.0]])
 
 
 class TestSerialization:

@@ -13,6 +13,12 @@ def run(*argv, capsys=None):
     return main([str(a) for a in argv])
 
 
+def one_step_solves(monkeypatch):
+    """Make every dual solve stop after one step, as no flag can."""
+    real = classifier.qp.solve_smo
+    monkeypatch.setattr(classifier.qp, "solve_smo", lambda problem: real(problem, max_iter=1))
+
+
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path):
         out = tmp_path / "train.csv"
@@ -58,9 +64,11 @@ class TestFitPredictEvaluate:
         first = roc.read_text().splitlines()[0]
         assert first == "fpr,tpr"
 
-    def test_fit_warns_when_the_dual_solver_did_not_converge(self, tmp_path, capsys, train_test):
+    def test_fit_warns_when_the_dual_solver_did_not_converge(self, tmp_path, capsys, train_test,
+                                                             monkeypatch):
         model = tmp_path / "model.json"
-        assert run("fit", "--train", train_test[0], "--max-iter", 1, "--out", model) == 0
+        one_step_solves(monkeypatch)
+        assert run("fit", "--train", train_test[0], "--out", model) == 0
         assert json.loads(model.read_text())["converged"] is False
         assert "warning: dual solver did not reach tolerance" in capsys.readouterr().err
 
@@ -96,14 +104,21 @@ class TestFlagDefaults:
     def test_fit_and_demo_defaults_are_hyperparams_defaults(self):
         hp = Hyperparams()
         fit = build_parser().parse_args(["fit", "--train", "t.csv", "--out", "m.json"])
-        assert (fit.gamma, fit.c0, fit.r_scale, fit.tol, fit.max_iter) == (
-            hp.gamma, hp.c0, hp.r_scale, hp.tol, hp.max_iter)
+        assert (fit.gamma, fit.c0, fit.r_scale) == (hp.gamma, hp.c0, hp.r_scale)
         demo = build_parser().parse_args(["demo-fig1", "--out-dir", "fig1"])
         assert (demo.gamma, demo.c0) == (hp.gamma, hp.c0)
 
     def test_fit_has_no_seed_flag(self):
         with pytest.raises(SystemExit) as caught:
             build_parser().parse_args(["fit", "--train", "t.csv", "--seed", "1",
+                                       "--out", "m.json"])
+        assert caught.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+    def test_fit_has_no_solver_flags(self, flag):
+        # every dual solve stops at qp's own tolerance and iteration cap
+        with pytest.raises(SystemExit) as caught:
+            build_parser().parse_args(["fit", "--train", "t.csv", flag, "1",
                                        "--out", "m.json"])
         assert caught.value.code == 2
 
@@ -191,13 +206,13 @@ class TestCv:
         for name in ("summary.json", "repeat_000.json"):
             assert (tmp_path / "marked" / name).read_bytes() == (plain / name).read_bytes()
 
-    def test_warns_when_an_outer_fold_model_did_not_converge(self, tmp_path, capsys):
+    def test_warns_when_an_outer_fold_model_did_not_converge(self, tmp_path, capsys, monkeypatch):
         rc, _ = cv_with_config(tmp_path, "default", SMALL_CV)
         assert rc == 0
         assert "warning" not in capsys.readouterr().err
         # at c0 = 2^-5 the caps bind, and the dual takes more than one step
-        rc, capped_dir = cv_with_config(tmp_path, "capped",
-                                        {**SMALL_CV, "c0_grid": [2.0**-5], "max_iter": 1})
+        one_step_solves(monkeypatch)
+        rc, capped_dir = cv_with_config(tmp_path, "capped", {**SMALL_CV, "c0_grid": [2.0**-5]})
         assert rc == 0
         assert "warning: dual solver did not reach tolerance in 2 outer-fold model(s)" \
             in capsys.readouterr().err
@@ -277,8 +292,8 @@ class TestErrorsAndDeterminism:
         ({"outer_folds": 2.5}, "outer_folds must be of type int, got 2.5"),
         ({"repeats": "2"}, "repeats must be of type int, got '2'"),
         ([1, 2], "a config file holds one JSON object"),
-        ({"tol": float("nan")}, "tol must be finite and positive, got nan"),
-        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+        ({"tol": float("nan")}, "unknown config keys: tol"),
+        ({"max_iter": 0}, "unknown config keys: max_iter"),
         ({"c0_grid": [float("nan")]}, "c0 and r_scale must be positive, got nan"),
     ])
     def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, doc, message):
@@ -304,9 +319,9 @@ class TestErrorsAndDeterminism:
         solves = []
         real = classifier.qp.solve_smo
 
-        def counting(problem, tol, max_iter):
+        def counting(problem, *args, **kwargs):
             solves.append(problem.n)
-            return real(problem, tol, max_iter)
+            return real(problem, *args, **kwargs)
 
         monkeypatch.setattr(classifier.qp, "solve_smo", counting)
         outputs, counts = [], []
@@ -407,6 +422,11 @@ class TestModelAndPredictionFiles:
         ({"d": 7}, "d is 7.0 but w has 6 entries"),
         ({"method_tag": 1}, "method_tag must be a string, got 1.0"),
         ({"n1": -3}, "n1 must be a whole number, got -3.0"),
+        # rules that LinearModel refuses (json reads NaN and Infinity literals)
+        ({"w": [float("nan")] * 6}, "direction vector has non-finite entries"),
+        ({"w": [0.0] * 6}, "direction vector is all-zero"),
+        ({"w": [], "d": 0}, "direction vector is all-zero"),
+        ({"b": float("inf")}, "intercept must be finite, got inf"),
     ])
     def test_predict_rejects_a_malformed_model(self, tmp_path, capsys, saved, changes, message):
         data, model = saved

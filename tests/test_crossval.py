@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -64,7 +64,8 @@ class TestConfig:
 
     def test_fit_defaults_come_from_hyperparams(self):
         cfg, hp = ExperimentConfig(), Hyperparams()
-        assert (cfg.r_scale, cfg.tol, cfg.max_iter) == (hp.r_scale, hp.tol, hp.max_iter)
+        assert cfg.r_scale == hp.r_scale
+        assert not {"tol", "max_iter"} & {f.name for f in fields(ExperimentConfig)}
 
     def test_rejects_gamma_grid_values_hyperparams_rejects(self):
         with pytest.raises(ConfigError, match="gamma must be in"):
@@ -83,7 +84,9 @@ class TestConfig:
         {"c0_grid": (1.0, float("nan"))},
     ])
     def test_rejects_solver_settings_hyperparams_rejects(self, setting):
-        with pytest.raises(ConfigError):
+        # tol and max_iter are no longer settings, so they are refused by name
+        error = TypeError if {"tol", "max_iter"} & set(setting) else ConfigError
+        with pytest.raises(error):
             ExperimentConfig(**setting)
 
 
@@ -173,8 +176,8 @@ class TestSolveCount:
             fits.append(args[0])
             return real_fit(*args, **kwargs)
 
-        def counting_solve(problem, tol, max_iter):
-            solves.append(real_solve(problem, tol, max_iter))
+        def counting_solve(*args, **kwargs):
+            solves.append(real_solve(*args, **kwargs))
             return solves[-1]
 
         monkeypatch.setattr(classifier, "fit", counting_fit)
@@ -289,8 +292,7 @@ def cell_by_cell_choice(train, config, fold_seed):
     gammas = config.gamma_grid if config.method == "psc" else config.gamma_grid[:1]
     for gamma in gammas:
         for c0 in config.c0_grid:
-            hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale,
-                             tol=config.tol, max_iter=config.max_iter)
+            hp = Hyperparams(gamma=gamma, c0=c0, r_scale=config.r_scale)
             scores = []
             for f in range(config.inner_folds):
                 tr, va = inner.train_indices(f), inner.test_indices(f)

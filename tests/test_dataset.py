@@ -45,7 +45,8 @@ class TestLabeledMatrix:
         ([[0.0]], [1], None, "need at least 2 samples"),
         ([[0.0], [1.0], [2.0]], [1, 0, -1], None, r"labels must be \+1 or -1"),
         ([[0.0, 1.0], [1.0, 0.0]], [1, -1], ("f0",), "feature_names length does not match column count"),
-    ], ids=["1-D", "one-row", "label-0", "feature-names"])
+        (np.empty((2, 0)), [1, -1], (), "need at least one feature column"),
+    ], ids=["1-D", "one-row", "label-0", "feature-names", "no-feature-columns"])
     def test_rejects_a_malformed_input(self, samples, labels, names, message):
         with pytest.raises(DatasetError, match=message):
             LabeledMatrix(samples, labels, names)
@@ -129,7 +130,8 @@ class TestLoadCsv:
         ("", "empty file"),
         ("x,y\n1,a\n2\n", "row 3 has 1 cells, expected 2"),
         ("x,y\n", "no data rows"),
-    ], ids=["empty", "short-row", "header-only"])
+        ("y\na\nb\n", "need at least one feature column"),
+    ], ids=["empty", "short-row", "header-only", "label-column-only"])
     def test_rejects_a_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")

@@ -12,6 +12,9 @@ from tests.oracles import brute_force_small, kkt_violation, smo_reference
 
 I2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
+# read once, beside the import of the code that runs: a qp.py edited on disk
+# during a run would otherwise shift the lines that the traced code reports
+SOLVE_SMO_LINES, SOLVE_SMO_START = inspect.getsourcelines(solve_smo)
 
 
 def random_psd(n, rng):
@@ -381,11 +384,10 @@ def duplicate_row_fits():
 def exit_line(condition: str) -> int:
     """The line number of the break that follows the line condition in
     solve_smo."""
-    lines, start = inspect.getsourcelines(solve_smo)
-    stripped = [line.strip() for line in lines]
+    stripped = [line.strip() for line in SOLVE_SMO_LINES]
     k = stripped.index(condition)
     assert stripped[k + 1] == "break"
-    return start + k + 1
+    return SOLVE_SMO_START + k + 1
 
 
 def lines_run(fn, *args, **kwargs):
