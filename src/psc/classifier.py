@@ -269,6 +269,10 @@ def bayes_oracle(mu_pos: np.ndarray, mu_neg: np.ndarray, sigma: np.ndarray) -> L
     mu_pos = np.asarray(mu_pos, dtype=np.float64).ravel()
     mu_neg = np.asarray(mu_neg, dtype=np.float64).ravel()
     sigma = np.asarray(sigma, dtype=np.float64)
+    d = mu_pos.size
+    if sigma.shape != (d, d) or mu_neg.size != d:
+        raise FitError(f"means of lengths {mu_pos.size} and {mu_neg.size} do not match "
+                       f"a covariance of shape {sigma.shape}")
     not_spd = "covariance matrix is not symmetric positive definite"
     if not np.array_equal(sigma, sigma.T):  # cholesky reads only the lower triangle
         raise FitError(not_spd)

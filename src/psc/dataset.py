@@ -36,7 +36,7 @@ class LabeledMatrix:
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        y = np.asarray(self.labels, dtype=np.int64).ravel()
+        y = np.asarray(self.labels).ravel()  # checked before the int cast, which truncates 1.7 to 1
         if X.ndim != 2:
             raise DatasetError("samples must be a 2-D matrix")
         if X.shape[1] == 0:
@@ -52,6 +52,7 @@ class LabeledMatrix:
             raise DatasetError(f"non-finite value at row {i}, column {j}")
         if not ((y == 1) | (y == -1)).all():
             raise DatasetError("labels must be +1 or -1")
+        y = y.astype(np.int64, copy=False)
         if (y == 1).sum() == 0 or (y == -1).sum() == 0:
             raise DatasetError("need at least one sample per class")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
@@ -163,66 +164,104 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
             raise DatasetError(f"{path}: label column {label_column!r} appears more than once in header")
         label_idx = header.index(label_column)
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            labels.append(1 if row[label_idx] in positive_labels else -1)
-            # numpy parses a str cell with float()'s rules, so the bits are float()'s
-            try:
-                values = np.array(row[:label_idx] + row[label_idx + 1:], dtype=np.float64)
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                values = _parse_row(path, row_no, header, row, label_idx)
-            rows.append(values)
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
+        parsed = _parse_body(fh, len(header), label_idx, positive_labels)
+        if parsed is None:
+            fh.seek(0)
+            next(reader)
+            parsed = _parse_rows(path, reader, header, label_idx, positive_labels)
+    samples, labels = parsed
     if (labels == 1).all() or (labels == -1).all():
         raise DatasetError(f"{path}: binarization produced a single class")
     try:
-        return LabeledMatrix(np.asarray(rows), labels, feature_names)
+        return LabeledMatrix(samples, labels, feature_names)
     except DatasetError as exc:  # a file that holds only its label column
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _parse_row(path, row_no: int, header: list[str], row: list[str], label_idx: int) -> list[float]:
-    """Parse a row's feature cells one at a time, raising at the first cell
-    that is not a finite number."""
-    values = []
-    for i, cell in enumerate(row):
-        if i == label_idx:
-            continue
-        try:
-            v = float(cell)
-        except ValueError:
-            raise DatasetError(
-                f"{path}: row {row_no}, column {header[i]!r}: cannot parse {cell!r}"
-            ) from None
-        if not math.isfinite(v):
-            raise DatasetError(
-                f"{path}: row {row_no}, column {header[i]!r}: non-finite value {cell!r}"
-            )
-        values.append(v)
-    return values
+def _parse_body(fh, width: int, label_idx: int, positive_labels: set[str]):
+    """The data rows as (samples, labels) from one np.loadtxt call, or None
+    for a file that _parse_rows must judge.
+
+    loadtxt splits and unquotes cells as csv.reader does, and it converts a
+    cell with PyOS_string_to_double, so every cell it accepts gets float()'s
+    bits. But it skips blank lines, which csv.reader reads as empty records,
+    it warns on a file with no data row, it takes the width from the first
+    row, not the header, and it rejects some cells that float() accepts
+    (underscores, non-ASCII digits)."""
+    first = next(fh, "")
+    if not first or first.isspace():
+        return None
+    blank = False
+
+    def lines():
+        nonlocal blank
+        yield first
+        for line in fh:
+            blank |= line.isspace()
+            yield line
+
+    def label(cell: str) -> float:
+        return 1.0 if cell in positive_labels else -1.0
+
+    try:
+        table = np.loadtxt(lines(), delimiter=",", quotechar='"', comments=None, ndmin=2,
+                           converters={label_idx: label})
+    except ValueError:
+        return None
+    if blank or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64)
+
+
+def _parse_rows(path, reader, header: list[str], label_idx: int, positive_labels: set[str]):
+    """The data rows as (samples, labels), one cell at a time with float(),
+    raising at the first row of the wrong length and at the first cell that
+    is not a finite number."""
+    rows, labels = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+        labels.append(1 if row[label_idx] in positive_labels else -1)
+        values = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: row {row_no}, column {header[i]!r}: cannot parse {cell!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DatasetError(
+                    f"{path}: row {row_no}, column {header[i]!r}: non-finite value {cell!r}"
+                )
+            values.append(v)
+        rows.append(values)
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    return np.array(rows), np.array(labels, dtype=np.int64)
 
 
 def write_csv(data: LabeledMatrix, path, label_column: str = "label") -> None:
-    """Inverse of load_csv with positive_labels={'1'}; floats at 17 sig digits."""
+    """Inverse of load_csv with positive_labels={'1'}; floats at 17 sig digits.
+
+    Names may need quoting, so csv.writer writes the header. Numbers never
+    do, so each data row is one %-format of its cells: "%.17g" gives
+    format(v, ".17g")'s text, and the row ends in CRLF as csv.writer's do."""
     names = data.feature_names or tuple(f"f{i}" for i in range(data.d))
     if label_column in names:
         raise DatasetError(f"label column {label_column!r} is also a feature name")
+    row_format = "%.17g," * data.d + "%d\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for row, label in zip(data.samples, data.labels):
-            writer.writerow([format(v, ".17g") for v in row] + [str(int(label))])
+        csv.writer(fh).writerow(list(names) + [label_column])
+        for row, label in zip(data.samples, data.labels.tolist()):
+            fh.write(row_format % (*row.tolist(), label))
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:
     """Per-class shuffle under a seeded PCG64 generator, then round-robin."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if k < 2:
         raise DatasetError("k must be at least 2")
     if not ((labels == 1) | (labels == -1)).all():

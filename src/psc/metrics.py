@@ -112,7 +112,7 @@ def evaluate(labels, decisions) -> EvalReport:
     Predictions are sign(decision) with zero mapped to +1. Single-class
     labels still yield the defined scalar metrics; ROC and AUC are absent.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels).ravel()  # checked before the int cast, which truncates 1.7 to 1
     decisions = np.asarray(decisions, dtype=np.float64).ravel()
     if labels.shape != decisions.shape:
         raise MetricsError("labels and decisions must have equal length")
@@ -120,6 +120,7 @@ def evaluate(labels, decisions) -> EvalReport:
         raise MetricsError("labels and decisions must not be empty")
     if not ((labels == 1) | (labels == -1)).all():
         raise MetricsError("labels must be +1 or -1")
+    labels = labels.astype(np.int64, copy=False)
     if np.isnan(decisions).any():
         raise MetricsError("decisions must not be NaN")
     preds = np.where(decisions >= 0.0, 1, -1)

@@ -6,13 +6,16 @@ bit for bit, the d-space scatter factor with the lambda cap and the Gram
 formed from it, which smw.build_factor's n-space path must match within
 stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
 the class means that dataset.standard_normal and dataset.class_stats must
-match bit for bit."""
+match bit for bit, and the cell-by-cell CSV writer and reader whose bytes,
+bits and errors dataset.write_csv and dataset.load_csv must match."""
 
+import csv
+import math
 from itertools import product
 
 import numpy as np
 
-from psc.dataset import ClassStats, LabeledMatrix, class_stats
+from psc.dataset import ClassStats, DatasetError, LabeledMatrix, class_stats
 from psc.intercept import Projections
 from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
 from psc.smw import SmwError, SmwOperator, beta
@@ -237,3 +240,79 @@ def class_stats_reference(data: LabeledMatrix) -> ClassStats:
     u1 = data.samples[pos].mean(axis=0)
     u2 = data.samples[~pos].mean(axis=0)
     return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2)
+
+
+def write_csv_reference(data: LabeledMatrix, path, label_column: str = "label") -> None:
+    """csv.writer over each row's cells, each formatted by format(v, ".17g")."""
+    names = data.feature_names or tuple(f"f{i}" for i in range(data.d))
+    if label_column in names:
+        raise DatasetError(f"label column {label_column!r} is also a feature name")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(names) + [label_column])
+        for row, label in zip(data.samples, data.labels):
+            writer.writerow([format(v, ".17g") for v in row] + [str(int(label))])
+
+
+def load_csv_reference(path, label_column: str, positive_labels) -> LabeledMatrix:
+    """csv.reader row by row; a row's feature cells go through np.array,
+    and through float() one at a time when that fails or holds a non-finite
+    value."""
+    positive_labels = set(positive_labels)
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")  # a leading BOM is not a header cell
+    except FileNotFoundError:
+        raise DatasetError(f"no such file: {path}") from None
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file") from None
+        if label_column not in header:
+            raise DatasetError(f"{path}: label column {label_column!r} not in header")
+        if header.count(label_column) > 1:
+            raise DatasetError(f"{path}: label column {label_column!r} appears more than once in header")
+        label_idx = header.index(label_column)
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        rows, labels = [], []
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+            labels.append(1 if row[label_idx] in positive_labels else -1)
+            try:
+                values = np.array(row[:label_idx] + row[label_idx + 1:], dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = _parse_row_reference(path, row_no, header, row, label_idx)
+            rows.append(values)
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    labels = np.asarray(labels, dtype=np.int64)
+    if (labels == 1).all() or (labels == -1).all():
+        raise DatasetError(f"{path}: binarization produced a single class")
+    try:
+        return LabeledMatrix(np.asarray(rows), labels, feature_names)
+    except DatasetError as exc:  # a file that holds only its label column
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def _parse_row_reference(path, row_no: int, header: list[str], row: list[str],
+                         label_idx: int) -> list[float]:
+    values = []
+    for i, cell in enumerate(row):
+        if i == label_idx:
+            continue
+        try:
+            v = float(cell)
+        except ValueError:
+            raise DatasetError(
+                f"{path}: row {row_no}, column {header[i]!r}: cannot parse {cell!r}"
+            ) from None
+        if not math.isfinite(v):
+            raise DatasetError(
+                f"{path}: row {row_no}, column {header[i]!r}: non-finite value {cell!r}"
+            )
+        values.append(v)
+    return values

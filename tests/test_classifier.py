@@ -406,6 +406,16 @@ class TestBayesOracle:
         with pytest.raises(FitError, match="not symmetric positive definite"):
             bayes_oracle([1.0, 0.0], [-1.0, 0.0], [[1.0, 5.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("mu_pos, mu_neg, message", [
+        # broadcast the length-1 mean and returned w = [-4, -5]
+        ([1.0, 0.0], [5.0], r"means of lengths 2 and 1 do not match a covariance of shape \(2, 2\)"),
+        # raised numpy's ValueError from np.linalg.solve
+        ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], r"means of lengths 3 and 3 do not match a covariance of shape \(2, 2\)"),
+    ], ids=["short-mean", "both-means-too-long"])
+    def test_means_must_fit_the_covariance(self, mu_pos, mu_neg, message):
+        with pytest.raises(FitError, match=message):
+            bayes_oracle(mu_pos, mu_neg, np.eye(2))
+
 
 class TestSerialization:
     def test_round_trip_lossless(self, tmp_path):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psc import dataset
 from psc.dataset import (
@@ -17,7 +19,12 @@ from psc.dataset import (
     stratified_kfold,
     write_csv,
 )
-from tests.oracles import class_stats_reference, standard_normal_reference
+from tests.oracles import (
+    class_stats_reference,
+    load_csv_reference,
+    standard_normal_reference,
+    write_csv_reference,
+)
 
 
 def write_rows(path, header, rows):
@@ -44,9 +51,11 @@ class TestLabeledMatrix:
         ([0.0, 1.0], [1, -1], None, "samples must be a 2-D matrix"),
         ([[0.0]], [1], None, "need at least 2 samples"),
         ([[0.0], [1.0], [2.0]], [1, 0, -1], None, r"labels must be \+1 or -1"),
+        # the int cast made these [1, -1]
+        ([[0.0], [1.0]], [1.7, -1.2], None, r"labels must be \+1 or -1"),
         ([[0.0, 1.0], [1.0, 0.0]], [1, -1], ("f0",), "feature_names length does not match column count"),
         (np.empty((2, 0)), [1, -1], (), "need at least one feature column"),
-    ], ids=["1-D", "one-row", "label-0", "feature-names", "no-feature-columns"])
+    ], ids=["1-D", "one-row", "label-0", "label-1.7", "feature-names", "no-feature-columns"])
     def test_rejects_a_malformed_input(self, samples, labels, names, message):
         with pytest.raises(DatasetError, match=message):
             LabeledMatrix(samples, labels, names)
@@ -202,6 +211,142 @@ class TestLoadCsv:
             load_csv(path, "y", {"a"})
 
 
+def layout_cases():
+    """Three rows, the label column first, in the middle and last, with CRLF
+    and LF line ends, with and without a BOM."""
+    cases = {}
+    for where in (0, 1, 2):
+        lines = []
+        for cells in [["f0", "f1"], ["1.5", "-0"], ["2e-3", "0.1"], ["7", "1e-400"]]:
+            cells.insert(where, "y" if not lines else "ab"[len(lines) % 2])
+            lines.append(",".join(cells))
+        for end, end_name in (("\r\n", "crlf"), ("\n", "lf")):
+            for bom, bom_name in (("", ""), ("\ufeff", "-bom")):
+                cases[f"label-at-{where}-{end_name}{bom_name}"] = bom + end.join(lines) + end
+    return cases
+
+
+# cells that parse, three times as often as the rest: non-finite numbers,
+# cells float() rejects and quoting that csv.reader resolves
+CELLS = 3 * ["1", "-0", " 2.5 ", "1e-400", '"1"', "1_0", "\uff11", "0.1"] + [
+    "1e400", "nan", "-inf", "", "#", "a", " a", '"a"', '"a,b"', 'a"b', '"a""b"', '"a\nb"', '"a"b']
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of y and one or two features, then up to five rows, most of
+    the header's width, ending in any line end or none."""
+    header = draw(st.sampled_from(["x,y", "y,x", "x,y,z", "x,z,y", "y,x,z"]))
+    width = header.count(",") + 1
+    text = header + "\n"
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.sampled_from([width] * 6 + [width - 1, width + 1]))
+        text += ",".join(draw(st.lists(st.sampled_from(CELLS), min_size=n, max_size=n)))
+        text += draw(st.sampled_from(["\n"] * 3 + ["\r\n", "\r", "\n\n", ""]))
+    return text
+
+
+class TestCsvMatchesReference:
+    """write_csv and load_csv against the cell-by-cell code they replaced:
+    the same bytes written, and the same samples, labels and feature names
+    read, bit for bit, or the same DatasetError."""
+
+    EDGE = TestLoadCsv.EDGE_CELLS
+    FILES = {
+        "edge-cells": ",".join(f"x{i}" for i in range(len(EDGE))) + ",y\n"
+                      + ",".join(EDGE) + ",a\n" + ",".join(EDGE[::-1]) + ",b\n",
+        "quoted-cells": 'x,"y",z\r\n"1.5",a,"2"\r\n3,"b",4\r\n',
+        "quoted-labels": 'x,y\n1,"a,b"\n2,"c""d"\n3,a\n4,"a"\n',
+        "label-spaces": "x,y\n1, a\n2,a \n3,a\n",
+        "quoted-newline-label": 'x,y\n1,"a\nb"\n2,"a\r\n\r\nb"\n3,a\n',
+        "blank-line-middle": "x,y\n1,a\n\n2,b\n",
+        "blank-line-end": "x,y\n1,a\n2,b\n\n",
+        "blank-line-end-crlf": "x,y\r\n1,a\r\n2,b\r\n\r\n",
+        "blank-line-first": "x,y\n\n1,a\n2,b\n",
+        "blank-lines-only": "x,y\n\n\n",
+        "whitespace-line": "x,y\n1,a\n \n2,b\n",
+        "hash-cell": "x,y\n#1,a\n2,b\n",
+        "hash-label": "x,y\n1,#\n2,b\n",
+        "trailing-comma": "x,y\n1,a,\n2,b,\n",
+        # every row one cell short of, or one past, the header, yet all parse
+        "every-row-short": "x,y,z\n1,a\n2,b\n",
+        "every-row-long": "y,x\na,1,2\nb,3,4\n",
+        "cr-line-ends": "x,y\r1,a\r2,b\r",
+        "no-final-line-end": "x,y\n1,a\n2,b",
+        "empty-label": "x,y\n1,\n2,b\n",
+        "empty-cell": "x,z,y\n1,,a\n2,3,b\n",
+        "underscore": "x,y\n1_0,a\n2,b\n",
+        "one-row": "x,y\n1,a\n",
+        "single-class": "x,y\n1,a\n2,a\n",
+        "nan-before-oops": "x,y\n1,a\nnan,b\noops,b\n",
+        "oops-before-nan": "x,y\n1,a\noops,b\nnan,b\n",
+        "inf-before-oops": "x,z,y\n1,2,a\ninf,oops,b\n",
+        "oops-before-inf": "x,z,y\n1,2,a\noops,inf,b\n",
+        "1e400-before-oops": "x,y\n1,a\n1e400,b\n3,b\noops,a\n",
+        "oops-before-1e400": "x,y\n1,a\n3,b\noops,a\n1e400,b\n",
+        # test_rejects_a_malformed_file's inputs
+        "empty": "",
+        "short-row": "x,y\n1,a\n2\n",
+        "header-only": "x,y\n",
+        "header-only-crlf": "x,y\r\n",
+        "label-column-only": "y\na\nb\n",
+    } | layout_cases()
+    POSITIVE = {"a", "a,b", 'c"d', "#", "a\nb", "", "1", "-0"}
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            data = load(path, "y", TestCsvMatchesReference.POSITIVE)
+        except DatasetError as exc:
+            return str(exc)
+        return (data.samples.shape, data.samples.tobytes(), data.labels.tobytes(),
+                data.feature_names)
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_load_matches_the_reference(self, tmp_path, name):
+        path = tmp_path / "t.csv"
+        path.write_bytes(self.FILES[name].encode("utf-8"))
+        assert self.outcome(load_csv, path) == self.outcome(load_csv_reference, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(csv_texts(), st.text(alphabet='01.e-a,"\n\r #', max_size=30).map(
+        lambda body: "x,y\n" + body)))
+    def test_random_files_load_as_the_reference_does(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert self.outcome(load_csv, path) == self.outcome(load_csv_reference, path)
+
+    TABLES = {
+        "hdlss": simulate_hdlss(7, 4, 3, seed=9),
+        "extremes": LabeledMatrix(
+            [[-0.0, 1e-310, 5e300, 4.9e-324], [1.7976931348623157e308, 0.1, 1 / 3, 1e17],
+             [-1e-5, 123456789.0, -2.5, 1e16]], [1, -1, 1]),
+        "quoted-names": LabeledMatrix([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]], [-1, 1],
+                                      ("a,b", 'q"uote', " space", "new\nline")),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    @pytest.mark.parametrize("label_column", ["label", "class,name"])
+    def test_write_matches_the_reference(self, tmp_path, name, label_column):
+        data = self.TABLES[name]
+        write_csv(data, tmp_path / "new.csv", label_column)
+        write_csv_reference(data, tmp_path / "ref.csv", label_column)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        again = load_csv(tmp_path / "new.csv", label_column, {"1"})
+        assert again.samples.tobytes() == data.samples.tobytes()
+        assert again.labels.tobytes() == data.labels.tobytes()
+
+    def test_the_cv_psc_file_matches_the_reference(self, tmp_path):
+        data = simulate_hdlss(2000, 22, 40, seed=1)
+        write_csv(data, tmp_path / "new.csv")
+        write_csv_reference(data, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        got = load_csv(tmp_path / "new.csv", "label", {"1"})
+        ref = load_csv_reference(tmp_path / "new.csv", "label", {"1"})
+        assert got.samples.tobytes() == ref.samples.tobytes() == data.samples.tobytes()
+        assert got.labels.tobytes() == ref.labels.tobytes()
+
+
 class TestClassStats:
     def test_hand_example(self):
         data = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
@@ -284,6 +429,10 @@ class TestStratifiedKfold:
         # the 0 and 5 rows got fold numbers from uninitialised memory
         with pytest.raises(DatasetError, match=r"labels must be \+1 or -1"):
             stratified_kfold([1, 1, -1, -1, 0, 5], 2, seed=0)
+
+    def test_rejects_a_label_the_int_cast_would_truncate_to_one(self):
+        with pytest.raises(DatasetError, match=r"labels must be \+1 or -1"):
+            stratified_kfold([1.7, 1, -1.2, -1], 2, seed=0)
 
 
 class TestSimulators:
@@ -386,3 +535,14 @@ class TestPeakMemory:
         data = simulate_hdlss(20000, 20, 10, seed=0)
         one_class_bytes = 10 * data.d * 8
         assert traced_peak(class_stats, data) < one_class_bytes
+
+    # a Python float per cell of the 62 x 2000 matrix would hold about 4 MB
+    def test_write_csv_holds_one_rows_text(self, tmp_path):
+        data = simulate_hdlss(2000, 22, 40, seed=0)
+        assert traced_peak(write_csv, data, tmp_path / "cv.csv") < 0.5 * data.samples.nbytes
+
+    def test_load_csv_holds_the_table_and_one_copy(self, tmp_path):
+        data = simulate_hdlss(2000, 22, 40, seed=0)
+        write_csv(data, tmp_path / "cv.csv")
+        peak = traced_peak(load_csv, tmp_path / "cv.csv", "label", {"1"})
+        assert peak < 2.5 * data.samples.nbytes

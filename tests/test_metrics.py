@@ -166,6 +166,11 @@ class TestEvaluate:
         with pytest.raises(MetricsError, match="labels must be"):
             evaluate(np.array([1, 0]), np.array([1.0, -1.0]))
 
+    def test_rejects_a_label_the_int_cast_would_truncate_to_one(self):
+        # 1.7 and -1.2 were cast to 1 and -1 and counted as tp and tn
+        with pytest.raises(MetricsError, match=r"labels must be \+1 or -1"):
+            evaluate([1.7, -1.2, 1, -1], [0.5, -0.5, 0.1, -0.1])
+
     def test_report_from_confusion_needs_both_classes(self):
         with pytest.raises(MetricsError, match="both classes"):
             report_from_confusion(ConfusionMatrix(tp=3, fn=1, fp=0, tn=0))
