@@ -152,23 +152,26 @@ def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:
         fh = open(path, newline="", encoding="utf-8-sig")  # a leading BOM is not a header cell
     except FileNotFoundError:
         raise DatasetError(f"no such file: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise DatasetError(f"{path}: label column {label_column!r} not in header")
-        if header.count(label_column) > 1:
-            raise DatasetError(f"{path}: label column {label_column!r} appears more than once in header")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        parsed = _parse_body(fh, len(header), label_idx, positive_labels)
-        if parsed is None:
-            fh.seek(0)
-            next(reader)
-            parsed = _parse_rows(path, reader, header, label_idx, positive_labels)
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError(f"{path}: empty file") from None
+            if label_column not in header:
+                raise DatasetError(f"{path}: label column {label_column!r} not in header")
+            if header.count(label_column) > 1:
+                raise DatasetError(f"{path}: label column {label_column!r} appears more than once in header")
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            parsed = _parse_body(fh, len(header), label_idx, positive_labels)
+            if parsed is None:
+                fh.seek(0)
+                next(reader)
+                parsed = _parse_rows(path, reader, header, label_idx, positive_labels)
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over the field limit
+        raise DatasetError(f"{path}: {exc}") from None
     samples, labels = parsed
     if (labels == 1).all() or (labels == -1).all():
         raise DatasetError(f"{path}: binarization produced a single class")

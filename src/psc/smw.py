@@ -9,14 +9,14 @@ that one eigendecomposition per training set; every lambda shares it:
     M V = V + C^T U diag(lam / (1 - lam*s)) U^T C V
 
 The PD cap is 1/max(s). Below it every weight lam / (1 - lam*s) is positive,
-so the dual Gram y o (X X^T + P diag(weights) P^T) o y, P = X C^T U, is PSD.
-The factor carries xx = X X^T and xp = P: a lambda costs n-space work only.
+so the dual Gram y o (K + P diag(weights) P^T) o y is PSD; K = Xc Xc^T and
+P = Xc C^T U for the rows Xc centred on their mean. It differs from X's
+Gram by y a^T + a y^T + c y y^T, so both give the same dual on y^T alpha = 0.
 
-All of the factor comes from one n x n Gram of the mean-centred training
-rows, and D itself is never formed: M V applies it as E (X V) and D^T as
-X^T (E^T z), so the only d-length work is products with the n training
-rows. No d x d or (n+1) x d matrix is ever materialized, and no matrix is
-factored or eigensolved per lambda.
+All of the factor comes from K, and D itself is never formed: M V applies
+it as E (X V) and D^T as X^T (E^T z), so the only d-length work is products
+with the n training rows. No d x d or (n+1) x d matrix is ever
+materialized, and no matrix is factored or eigensolved per lambda.
 """
 
 from __future__ import annotations
@@ -50,12 +50,13 @@ class PopulationFactor:
     e_matrix: np.ndarray  # (n+1, n) centring weights, D = E X
     spectrum: np.ndarray  # (n+1,) eigenvalues of C C^T, ascending
     basis: np.ndarray  # (n+1, n+1) diag(sqrt(L_tau)) times the eigenvectors
-    xx: np.ndarray  # (n, n) X X^T
-    xp: np.ndarray  # (n, n+1) X D^T basis
+    kc: np.ndarray  # (n, n) Xc Xc^T, Xc = X - 1 r^T centred on the mean r
+    pc: np.ndarray  # (n, n+1) Xc D^T basis = (E Xc Xc^T)^T basis
+    row_scale: float  # max_i |x_i - r|^2 + |r|^2, for lambda_cap's zero test
 
     @property
     def n(self) -> int:
-        return self.xx.shape[0]
+        return self.kc.shape[0]
 
     @property
     def d(self) -> int:
@@ -95,23 +96,19 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     l_tau[:n1] = 1.0 / n1
     l_tau[n1:n] = 1.0 / n2
     l_tau[n] = beta(n1, n2)
-    # The one d-space step: centre on the training mean r, so that E K E^T
-    # does not cancel a large common offset, and form K = Xc Xc^T.
+    # The one d-space step: centre on the training mean r, so that a large
+    # common offset neither cancels in E K E^T nor swamps the dual Gram.
     r = (n1 * stats.u1 + n2 * stats.u2) / n
     Xc = data.samples - r
     K = Xc @ Xc.T
-    g = Xc @ r
     EK = E @ K
     sqrt_l = np.sqrt(l_tau)
     A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]
     spectrum, U = np.linalg.eigh((A + A.T) / 2.0)
     basis = sqrt_l[:, None] * U
-    # X = Xc + 1 r^T, so X X^T = K + g 1^T + 1 g^T + r^T r and
-    # X D^T = X Xc^T E^T = (K + 1 g^T) E^T
     return PopulationFactor(
         samples=data.samples, e_matrix=E, spectrum=spectrum, basis=basis,
-        xx=K + g[:, None] + g[None, :] + r @ r,
-        xp=(EK.T + (E @ g)[None, :]) @ basis,
+        kc=K, pc=EK.T @ basis, row_scale=float(np.diag(K).max() + r @ r),
     )
 
 
@@ -119,24 +116,22 @@ def lambda_cap(factor: PopulationFactor) -> float:
     """1/lambda_max(beta*S_B + S_W), read off the factor's (n+1)-space spectrum.
 
     Returns +inf when the scatter matrix is numerically zero: its largest
-    eigenvalue is at most n * eps times the largest diagonal entry of X X^T,
-    below what the dual Gram, which is built on X X^T, resolves.
+    eigenvalue is at most n * eps * row_scale, which is between 1/2 and 5
+    times the largest squared row norm. On rows that are all equal K holds
+    only the centring's rounding, so row_scale adds |r|^2 to max diag(K).
     """
     lam_max = float(factor.spectrum[-1])
-    if lam_max <= factor.n * np.finfo(np.float64).eps * float(np.diag(factor.xx).max()):
+    if lam_max <= factor.n * np.finfo(np.float64).eps * factor.row_scale:
         return float("inf")
     return 1.0 / lam_max
 
 
 def build_operator(factor: PopulationFactor, lam: float) -> SmwOperator:
-    cap = lambda_cap(factor)
     if not lam > 0.0:
         raise SmwError(f"lambda must be positive, got {lam}")
-    if not lam < cap:
-        raise SmwError(f"lambda {lam} not below the PD cap {cap}")
-    margin = 1.0 - lam * factor.spectrum
-    if margin.min() < 1e-12:
-        raise SmwError("I - lambda*(beta*S_B + S_W) numerically singular; lambda too close to the cap")
+    margin = 1.0 - lam * factor.spectrum  # at most 0 at or above the PD cap
+    if not margin.min() >= 1e-12:  # written so that NaN fails it
+        raise SmwError(f"I - lambda*(beta*S_B + S_W) numerically singular at lambda {lam}")
     return SmwOperator(factor=factor, weights=lam / margin)
 
 
@@ -151,13 +146,14 @@ def apply_inverse(op: SmwOperator, V: np.ndarray) -> np.ndarray:
 
 
 def gram(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
-    """Dual Gram matrix Y X M X^T Y of the factor's training rows, symmetrized,
-    PSD as the operator's weights are positive. data supplies their labels."""
+    """Dual Gram matrix Y Xc M Xc^T Y of the factor's centred training rows,
+    symmetrized, PSD as the operator's weights are positive. data supplies
+    their labels."""
     factor = op.factor
     if data.d != factor.d:
         raise SmwError("operator was built for a different dimension")
     if data.n != factor.n:
         raise SmwError(f"operator was built on {factor.n} training rows, got {data.n}")
     y = data.labels.astype(np.float64)
-    G = y[:, None] * (factor.xx + (factor.xp * op.weights) @ factor.xp.T) * y[None, :]
+    G = y[:, None] * (factor.kc + (factor.pc * op.weights) @ factor.pc.T) * y[None, :]
     return (G + G.T) / 2.0

@@ -190,11 +190,12 @@ def lambda_cap_reference(data: LabeledMatrix, stats: ClassStats) -> float:
 
 
 def gram_reference(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
-    """smw.gram with X X^T and X D^T basis formed at every call from data and
-    the d-space rows of scatter_rows, and the operator's basis and weights."""
+    """smw.gram with Xc Xc^T and Xc D^T basis formed at every call from the
+    rows of data centred on their mean and the d-space rows of scatter_rows,
+    and the operator's basis and weights."""
     if data.d != op.factor.d:
         raise SmwError("operator was built for a different dimension")
-    X = data.samples
+    X = data.samples - data.samples.mean(axis=0)
     y = data.labels.astype(np.float64)
     D, _ = scatter_rows(data, class_stats(data))
     P = (X @ D.T) @ op.factor.basis

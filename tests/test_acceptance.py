@@ -65,9 +65,15 @@ def test_criterion_2_smw_oracle_equivalence():
 
         y = data.labels.astype(float)
         x = data.samples
-        g_dense = (y[:, None] * y[None, :]) * (x @ dense @ x.T)
+        xc = x - x.mean(axis=0)
+        g_dense = (y[:, None] * y[None, :]) * (xc @ dense @ xc.T)
         g = gram(op, data)
         assert np.abs(g - g_dense).max() <= 1e-8 * max(np.abs(g_dense).max(), 1.0)
+        # the uncentred Gram gives the same dual where y^T alpha = 0
+        g_raw = (y[:, None] * y[None, :]) * (x @ dense @ x.T)
+        proj = np.eye(n) - np.outer(y, y) / n
+        diff = proj @ (g - g_raw) @ proj
+        assert np.abs(diff).max() <= 1e-8 * max(np.abs(g_raw).max(), 1.0)
 
         caps = np.where(y > 0, 1.0, stats.n1 / stats.n2)
         alpha = solve_smo(BoxQP(g, y, caps)).alpha

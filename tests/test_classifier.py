@@ -126,6 +126,18 @@ class TestFitPsc:
         assert model.kkt_residual <= 1e-6
         assert model.lam > 0 and model.gamma == 0.5
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_common_offset_leaves_the_decisions(self, seed):
+        # every feature of the training and the held-out rows shifted by
+        # 1e4: in exact arithmetic the decisions do not move, as every row
+        # of E sums to zero and y^T alpha = 0
+        train = simulate_hdlss(2000, 22, 40, seed=seed)
+        test = simulate_hdlss(2000, 22, 40, seed=1000 + seed).samples
+        shifted = LabeledMatrix(train.samples + 1e4, train.labels)
+        base = decision(fit_psc(train, HP), test)
+        moved = decision(fit_psc(shifted, HP), test + 1e4)
+        assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max()
+
 
 class TestPreparedTrainingSet:
     def test_prepared_fit_matches_raw_fit_bit_for_bit(self):

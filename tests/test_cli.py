@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psc import classifier, metrics
+from psc import classifier, dataset, metrics
 from psc.classifier import Hyperparams
 from psc.cli import build_parser, main
 from psc.dataset import load_csv
@@ -310,6 +310,32 @@ class TestErrorsAndDeterminism:
         rc = run("cv", "--data", data, "--config", cfg, "--out-dir", tmp_path / "cv")
         assert rc == 1
         assert f"error: {cfg}: not a JSON file: Expecting ',' delimiter" in capsys.readouterr().err
+        assert not (tmp_path / "cv").exists()
+
+    ROWS = b"1,2,1\n3,4,-1\n" * 3000  # past the first chunk the reader decodes
+
+    @pytest.mark.parametrize("content, message, row_loop", [
+        (b"f0," + b"a" * 140_000 + b",label\n1,2,1\n3,4,-1\n",
+         "field larger than field limit (131072)", False),
+        (b"f0,f1,label\n" + ROWS + b'5,"' + b"x" * 140_000 + b'",1\n',
+         "field larger than field limit (131072)", True),
+        (b"f0,f\xff1,label\n" + ROWS, "'utf-8' codec can't decode byte 0xff", False),
+        (b"f0,f1,label\n" + ROWS + b"5,\xff,1\n",
+         "'utf-8' codec can't decode byte 0xff", True),
+    ], ids=["long-header-cell", "long-body-cell", "header-not-utf8", "body-not-utf8"])
+    def test_a_data_file_the_reader_refuses_is_named(self, tmp_path, capsys, monkeypatch,
+                                                     content, message, row_loop):
+        # a body cell that np.loadtxt cannot take sends the file through the
+        # row loop, which meets the same fault
+        loops = []
+        real = dataset._parse_rows
+        monkeypatch.setattr(dataset, "_parse_rows", lambda *a: loops.append(1) or real(*a))
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        rc = run("cv", "--data", data, "--out-dir", tmp_path / "cv")
+        assert rc == 1
+        assert f"error: {data}: {message}" in capsys.readouterr().err
+        assert bool(loops) == row_loop
         assert not (tmp_path / "cv").exists()
 
     def test_c0_grid_order_changes_neither_artifacts_nor_solves(self, tmp_path, monkeypatch):

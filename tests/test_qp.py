@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -436,6 +437,30 @@ class TestUnconvergedExits:
         assert default.converged
         assert sol.alpha.tobytes() == default.alpha.tobytes()
         assert sol.kkt_residual == default.kkt_residual
+
+
+class TestInexactFaceSteps:
+    """The two unconverged exits guard against a face solve that misses its
+    face's optimum. A _face_direction that scales the Newton step fires
+    each: a short step stops with every row free and none to release, and
+    an overshoot blocks rows at their bounds until a working set repeats."""
+
+    @pytest.mark.parametrize("scale, seed, condition", [
+        (0.9, 0, "if not excess:"),
+        (1.5, 36, "if key in seen:"),
+    ], ids=["short-step", "overshoot"])
+    def test_a_scaled_newton_step(self, monkeypatch, scale, seed, condition):
+        exact = qp._face_direction
+
+        def inexact(*args):
+            p, length = exact(*args)
+            return scale * p, length
+
+        monkeypatch.setattr(qp, "_face_direction", inexact)
+        sol, ran = lines_run(solve_smo, random_small_problem(seed, n=6))
+        assert exit_line(condition) in ran
+        assert not sol.converged
+        assert math.isfinite(sol.kkt_residual) and sol.kkt_residual > DEFAULT_TOL
 
 
 def binding_cap_fits():

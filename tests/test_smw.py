@@ -171,7 +171,8 @@ class TestGram:
         f = build_factor(data, class_stats(data))
         op = build_operator(f, min(1e-13, 1e-6 * lambda_cap(f)))
         y = data.labels.astype(float)
-        svm_gram = (y[:, None] * y[None, :]) * (data.samples @ data.samples.T)
+        x = data.samples - data.samples.mean(axis=0)
+        svm_gram = (y[:, None] * y[None, :]) * (x @ x.T)
         g = gram(op, data)
         assert np.abs(g - svm_gram).max() <= 1e-6 * max(np.abs(svm_gram).max(), 1.0)
 
@@ -182,7 +183,7 @@ class TestGram:
             lam = 0.5 * lambda_cap(f)
             op = build_operator(f, lam)
             y = data.labels.astype(float)
-            x = data.samples
+            x = data.samples - data.samples.mean(axis=0)
             g_dense = (y[:, None] * y[None, :]) * (x @ dense_m(data, lam) @ x.T)
             g = gram(op, data)
             assert np.abs(g - g_dense).max() <= 1e-8 * max(np.abs(g_dense).max(), 1.0)
@@ -212,8 +213,9 @@ def assert_close_gram(op, data, bound=1e-12):
 
 
 class TestGramMatchesReference:
-    """The factor's n-space X X^T and X D^T basis give the Gram that the
-    d-space rows give, within 1e-12 of its largest entry."""
+    """The factor's n-space Xc Xc^T and Xc D^T basis, Xc the rows centred
+    on their mean, give the Gram that the d-space rows give, within 1e-12
+    of its largest entry."""
 
     def test_criterion_2_random_families(self):
         # criterion 2's instances: n in [4, 20], d in [2, 50], every gamma
@@ -248,7 +250,7 @@ class TestGramMatchesReference:
         s = class_stats(data)
         f = build_factor(data, s)
         assert lambda_cap(f) == pytest.approx(lambda_cap_reference(data, s), rel=1e-11, abs=0.0)
-        assert_close_gram(build_operator(f, 0.5 * lambda_cap(f)), data, bound=1e-11)
+        assert_close_gram(build_operator(f, 0.5 * lambda_cap(f)), data, bound=1e-12)
 
     def test_rows_other_than_the_factors_are_rejected(self):
         data = random_instance(5, d_max=10)
