@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Angles per block of standard_normal's Box-Muller step (256 KiB of scratch).
+_NORMAL_BLOCK = 32768
+
 
 class DatasetError(ValueError):
     """Invalid or inconsistent input data."""
@@ -105,25 +108,30 @@ def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via Box-Muller over PCG64 uniforms (stream-stable).
 
     The first half of the output takes radius * cos(angle), the second half
-    radius * sin(angle). Everything is formed in place in the output and one
-    half-size array of angles, so the peak is 1.5x the output.
+    radius * sin(angle). The radii are formed in place in the output; the
+    angles are drawn and used in blocks of _NORMAL_BLOCK in one scratch
+    array, so the peak is the output plus at most 256 KiB.
     """
     count = int(np.prod(shape))
     half = (count + 1) // 2
     z = np.empty(2 * half)
     cos_part, radius = z[:half], z[half:]
     rng.random(out=radius)  # u1
-    angle = rng.random(half)  # u2
     # radius = sqrt(-2 log(1 - u1)); 1-u1 in (0,1], log never hits 0
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    np.cos(angle, out=cos_part)
-    cos_part *= radius
-    np.sin(angle, out=angle)
-    radius *= angle
+    scratch = np.empty(min(half, _NORMAL_BLOCK))
+    for start in range(0, half, _NORMAL_BLOCK):
+        stop = min(start + _NORMAL_BLOCK, half)
+        angle = scratch[:stop - start]
+        rng.random(out=angle)  # u2, continuing the stream block by block
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=cos_part[start:stop])
+        cos_part[start:stop] *= radius[start:stop]
+        np.sin(angle, out=angle)
+        radius[start:stop] *= angle
     return z[:count].reshape(shape)
 
 

@@ -29,6 +29,11 @@ import numpy as np
 from .dataset import ClassStats, LabeledMatrix
 
 
+# Columns per centred block of build_factor's Gram. Sized by columns, not
+# bytes: narrower blocks at a few hundred rows make the products slower.
+_GRAM_BLOCK = 4096
+
+
 class SmwError(ValueError):
     """Operator construction or Gram assembly failed."""
 
@@ -98,9 +103,21 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     l_tau[n] = beta(n1, n2)
     # The one d-space step: centre on the training mean r, so that a large
     # common offset neither cancels in E K E^T nor swamps the dual Gram.
+    # K = Xc Xc^T is summed over blocks of at most _GRAM_BLOCK columns, each
+    # centred into one reused n x block buffer, so no n x d copy is made. The
+    # first block's product is K itself, not added to zeros, so a single
+    # block (d <= _GRAM_BLOCK) keeps the bits of one Xc @ Xc.T.
     r = (n1 * stats.u1 + n2 * stats.u2) / n
-    Xc = data.samples - r
-    K = Xc @ Xc.T
+    buffer = np.empty((n, min(data.d, _GRAM_BLOCK)))
+    K = None
+    for start in range(0, data.d, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, data.d)
+        block = np.subtract(data.samples[:, start:stop], r[start:stop],
+                            out=buffer[:, :stop - start])
+        if K is None:
+            K = block @ block.T
+        else:
+            K += block @ block.T
     EK = E @ K
     sqrt_l = np.sqrt(l_tau)
     A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]

@@ -3,7 +3,8 @@ library against: the KKT gap of a dual point, a grid search over tiny box
 QPs, the SMO loop that qp.solve_smo must match within stated bounds, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
 bit for bit, the d-space scatter factor with the lambda cap and the Gram
-formed from it, which smw.build_factor's n-space path must match within
+formed from it, and the centred Gram in one d-space product, which
+smw.build_factor's n-space and column-blocked paths must match within
 stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
 the class means that dataset.standard_normal and dataset.class_stats must
 match bit for bit, and the cell-by-cell CSV writer and reader whose bytes,
@@ -207,6 +208,13 @@ def gram_reference(op: SmwOperator, data: LabeledMatrix) -> np.ndarray:
     if eigs[0] < -1e-8 * scale:
         raise SmwError(f"Gram matrix not PSD (min eig {eigs[0]:.3e}); lambda too large or numerical breakdown")
     return G
+
+
+def centred_gram_reference(data: LabeledMatrix) -> np.ndarray:
+    """Xc Xc^T in one d-space product, Xc the rows of data centred on their
+    mean."""
+    X = data.samples - data.samples.mean(axis=0)
+    return X @ X.T
 
 
 def dense_scatter(data: LabeledMatrix, stats: ClassStats) -> np.ndarray:

@@ -281,8 +281,11 @@ def test_criterion_8_complexity_sanity():
     tracemalloc.stop()
     dxd_bytes = d_big * d_big * 8
     assert peak < dxd_bytes / 10, f"peak {peak} bytes suggests a d x d allocation"
+    nxd_bytes = data.samples.nbytes
+    assert peak < nxd_bytes, f"peak {peak} bytes holds an n x d temporary ({nxd_bytes} bytes)"
     ok(8, f"4x dimension cost {ratio:.2f}x time; peak alloc {peak / 1e6:.1f} MB "
-          f"at d={d_big} (d x d would be {dxd_bytes / 1e9:.1f} GB)")
+          f"at d={d_big} (d x d would be {dxd_bytes / 1e9:.1f} GB, "
+          f"n x d {nxd_bytes / 1e6:.1f} MB)")
 
 
 def test_criterion_9_subcommand_determinism(tmp_path):

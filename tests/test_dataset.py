@@ -495,10 +495,18 @@ class TestSimulators:
 
 
 class TestBoxMullerMatchesReference:
-    """The in-place draw against the allocating reference, for odd and even
-    counts."""
+    """The in-place, blocked draw against the allocating reference, for odd
+    and even counts, and for counts whose half is at and around a multiple
+    of the angle block."""
 
-    @pytest.mark.parametrize("shape", [(1,), (1, 1), (2, 3), (7,), (101, 13), (62, 2000), (30, 20000)])
+    @pytest.mark.parametrize("shape", [
+        (1,), (1, 1), (2, 3), (7,), (101, 13), (62, 2000), (30, 20000),
+        (0,), (3, 0),
+        (65533,), (65534,),  # half 32767
+        (65535,), (65536,),  # half 32768
+        (65537,), (65538,),  # half 32769
+        (196617,), (196618,),  # half 3 * 32768 + 5
+    ])
     def test_standard_normal_bit_for_bit(self, shape):
         for seed in range(20):
             got = standard_normal(make_rng(seed), shape)
@@ -527,9 +535,9 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestPeakMemory:
-    def test_standard_normal_peaks_at_one_and_a_half_outputs(self):
+    def test_standard_normal_peaks_at_one_point_one_outputs(self):
         out_bytes = 200 * 2000 * 8
-        assert traced_peak(standard_normal, make_rng(0), (200, 2000)) <= 1.6 * out_bytes
+        assert traced_peak(standard_normal, make_rng(0), (200, 2000)) <= 1.1 * out_bytes
 
     def test_class_stats_copies_no_class(self):
         data = simulate_hdlss(20000, 20, 10, seed=0)

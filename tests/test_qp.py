@@ -392,18 +392,31 @@ def exit_line(condition: str) -> int:
 
 
 def lines_run(fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the set of fn's own line numbers it ran."""
-    ran = set()
+    """fn(*args, **kwargs) and the set of fn's own line numbers it ran.
 
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return local
+    A trace function installed before the call, such as a coverage tool's,
+    still sees every frame and event of the call: each frame's events go
+    to it, and to the local function it returns, as well as to this one.
+    """
+    ran = set()
+    previous = sys.gettrace()
 
     def tracer(frame, event, arg):
-        return local if frame.f_code is fn.__code__ else None
+        own = frame.f_code is fn.__code__
+        chained = previous(frame, event, arg) if previous is not None else None
+        if not own and chained is None:
+            return None
 
-    previous = sys.gettrace()
+        def local(frame, event, arg):
+            nonlocal chained
+            if own and event == "line":
+                ran.add(frame.f_lineno)
+            if chained is not None:
+                chained = chained(frame, event, arg)
+            return local if own or chained is not None else None
+
+        return local
+
     sys.settrace(tracer)
     try:
         result = fn(*args, **kwargs)

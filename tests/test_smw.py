@@ -4,7 +4,7 @@ import pytest
 from psc.crossval import DEFAULT_GAMMA_GRID
 from psc.dataset import LabeledMatrix, class_stats, simulate_fig1, simulate_hdlss, stratified_kfold
 from psc.smw import SmwError, SmwOperator, apply_inverse, build_factor, build_operator, gram, lambda_cap
-from tests.oracles import dense_scatter, gram_reference, lambda_cap_reference
+from tests.oracles import centred_gram_reference, dense_scatter, gram_reference, lambda_cap_reference
 from tests.test_qp import with_duplicates
 from tests.test_scatter import random_instance
 
@@ -204,6 +204,28 @@ class TestGram:
         op = build_operator(scalar_factor(), 1e-3)
         with pytest.raises(SmwError, match="different dimension"):
             gram(op, LabeledMatrix([[1.0, 0.0], [0.0, 1.0]], [1, -1]))
+
+
+class TestCentredGramBlocks:
+    """build_factor sums K = Xc Xc^T over blocks of at most 4096 columns. Up
+    to 4096 columns that is one block, with the single product's bits;
+    beyond, several blocks with a ragged last one stay within 1e-12 of the
+    d-space Gram's largest entry, also with a 1e4 offset on every feature."""
+
+    @pytest.mark.parametrize("d", [1, 2000, 4096])
+    def test_one_block_is_the_single_product(self, d):
+        data = simulate_hdlss(d, 20, 10, seed=d)
+        s = class_stats(data)
+        Xc = data.samples - (s.n1 * s.u1 + s.n2 * s.u2) / data.n
+        assert build_factor(data, s).kc.tobytes() == (Xc @ Xc.T).tobytes()
+
+    @pytest.mark.parametrize("by", [0.0, 1e4])
+    @pytest.mark.parametrize("d", [4097, 20000])
+    def test_several_blocks_match_the_d_space_gram(self, d, by):
+        data = offset(simulate_hdlss(d, 20, 10, seed=d), by)
+        kc = build_factor(data, class_stats(data)).kc
+        ref = centred_gram_reference(data)
+        assert np.abs(kc - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def assert_close_gram(op, data, bound=1e-12):
