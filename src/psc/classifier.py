@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import intercept, qp, smw
-from .dataset import ClassStats, LabeledMatrix, _freeze, class_stats
+from .dataset import ClassStats, LabeledMatrix, _freeze, centred_gram, class_stats
 from .intercept import Projections, choose_intercept
 from .smw import PopulationFactor, build_factor
 
@@ -109,8 +109,9 @@ def _intercept(proj: np.ndarray, labels: np.ndarray, r_scale: float) -> float:
 @dataclass(frozen=True)
 class TrainingSet:
     """A training set with the work every fit on it shares: its class
-    statistics, its scatter factor with the factor's spectrum (built at the
-    first psc fit, so cssvm and rmdd never build it), and the c0 path memo.
+    statistics, the Gram of its rows centred on their mean, its scatter
+    factor with the factor's spectrum (built from that Gram at the first psc
+    fit, so cssvm and rmdd never build it), and the c0 path memo.
 
     The memo holds, per setting that fixes the dual's Gram, the fit at the
     smallest c0 whose dual solve left every cap unbound (``upper_active``
@@ -122,14 +123,26 @@ class TrainingSet:
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        return _freeze(centred_gram(self.data.samples, self.stats.mean))
+
+    @cached_property
     def factor(self) -> PopulationFactor:
-        return build_factor(self.data, self.stats)
+        return build_factor(self.data, self.stats, self.gram)
 
     def recall(self, key: tuple, c0: float):
         """What a fit stored under key at a c0 no larger than this one, or
         None. A fit stores only after a miss, so a stored c0 only falls."""
         hit = self.memo.get(key)
         return hit[1] if hit is not None and c0 >= hit[0] else None
+
+
+def _at_c0(model: LinearModel, c0: float) -> LinearModel:
+    """A shallow copy of a stored model with c0 set. Its w is already
+    checked and read-only, so __post_init__ is not run on it again."""
+    served = object.__new__(LinearModel)
+    served.__dict__.update(vars(model), c0=c0)
+    return served
 
 
 def prepare(data: LabeledMatrix) -> TrainingSet:
@@ -147,7 +160,7 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     key = ("psc", hp.gamma, hp.r_scale)
     model = train.recall(key, hp.c0)
     if model is not None:
-        return replace(model, c0=hp.c0)
+        return _at_c0(model, hp.c0)
     data, stats = train.data, train.stats
     cap = smw.lambda_cap(train.factor)
     if not math.isfinite(cap):
@@ -183,8 +196,11 @@ def fit_cssvm(
     r_scale: float = Hyperparams.r_scale,
 ) -> LinearModel:
     """Soft-margin SVM dual with per-class slack weights (the lambda=0 Gram).
-    Its Gram has no c0, so a prepared TrainingSet shares one dual solve
-    across the c0 path; the intercept depends on the caps and is set anew."""
+    The dual reads the Gram of the rows centred on their mean, y o K o y,
+    which on y^T alpha = 0 is the raw rows' dual, so a large common offset
+    does not swamp it. It has no c0, so a prepared TrainingSet shares one
+    dual solve across the c0 path; the intercept depends on the caps and
+    is set anew."""
     Hyperparams(c0=c0, r_scale=r_scale)  # the settings check
     train = _prepared(data)
     data, stats = train.data, train.stats
@@ -195,7 +211,7 @@ def fit_cssvm(
     if hit is not None:
         sol, w, proj = hit
     else:
-        G = y[:, None] * (data.samples @ data.samples.T) * y[None, :]
+        G = y[:, None] * train.gram * y[None, :]
         G = (G + G.T) / 2.0
         sol = _solve_dual(G, y, caps)
         w = _freeze(data.samples.T @ (y * sol.alpha))  # shared by the memo and its models

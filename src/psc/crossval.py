@@ -9,8 +9,8 @@ import numpy as np
 
 from . import classifier
 from .classifier import FIT_ERRORS, Hyperparams, LinearModel
-from .dataset import DatasetError, LabeledMatrix, stratified_kfold
-from .metrics import EvalReport, evaluate
+from .dataset import DatasetError, LabeledMatrix, gram_coordinates, stratified_kfold
+from .metrics import confusion, evaluate, report_from_confusion
 
 DEFAULT_GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_C0_GRID = (2.0**-5, 2.0**-3, 2.0**-1, 2.0, 2.0**3, 2.0**5)
@@ -82,9 +82,11 @@ def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:
     return [config.hyperparams(g, c0) for g in gammas for c0 in c0s]
 
 
-def _score(report: EvalReport, metric: str) -> float:
-    value = getattr(report, metric)
-    return 1.0 - value if metric == "mwe" else value  # higher is better throughout
+def _validation_score(labels: np.ndarray, decisions: np.ndarray, metric: str) -> float:
+    """evaluate(labels, decisions)'s metric, from the confusion counts alone
+    (no ROC), turned so that higher is better throughout."""
+    value = getattr(report_from_confusion(confusion(labels, decisions)), metric)
+    return 1.0 - value if metric == "mwe" else value
 
 
 def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
@@ -105,7 +107,7 @@ def _score_inner_fold(train: LabeledMatrix, tr: np.ndarray, va: np.ndarray,
             continue
         if last is None or model.w is not last[0] or model.b != last[1]:
             dec = classifier.decision(model, val_samples)
-            last = (model.w, model.b, _score(evaluate(val_labels, dec), config.selection_metric))
+            last = (model.w, model.b, _validation_score(val_labels, dec, config.selection_metric))
         scores[hp].append(last[2])
 
 
@@ -121,15 +123,26 @@ def tune_and_fit(
     Only rows listed in train_idx are ever materialized, so held-out rows
     stay unread during tuning and refitting. A cell that fails on any inner
     fold is skipped.
+
+    Every method here is linear and blind to a rotation of feature space
+    and to a common shift of the rows. So when the train_idx rows have more
+    features than there are rows (d > n), the inner folds run on their n
+    coordinates Z, Z Z^T the Gram of those rows centred on their mean
+    (dataset.gram_coordinates), instead of on the d features. Z is made
+    from the train_idx rows alone, and the validation decisions are the
+    d features' in exact arithmetic. The refit stays in d-space.
     """
-    train = LabeledMatrix(samples[train_idx], labels[train_idx])
+    train = classifier.prepare(LabeledMatrix(samples[train_idx], labels[train_idx]))
     grid = _candidate_grid(config)
     scores = {}
     if len(grid) > 1:
-        inner = stratified_kfold(train.labels, config.inner_folds, seed=fold_seed)
+        rows = train.data
+        if rows.d > rows.n:
+            rows = LabeledMatrix(gram_coordinates(train.gram), rows.labels)
+        inner = stratified_kfold(rows.labels, config.inner_folds, seed=fold_seed)
         scores = {hp: [] for hp in grid}
         for f in range(config.inner_folds):
-            _score_inner_fold(train, inner.train_indices(f), inner.test_indices(f), scores, config)
+            _score_inner_fold(rows, inner.train_indices(f), inner.test_indices(f), scores, config)
     # ties: smaller c0, then gamma, then the first cell in grid order
     best = min(scores, key=lambda hp: (-float(np.mean(scores[hp])), hp.c0, hp.gamma), default=grid[0])
     model = classifier.fit(config.method, train, best)

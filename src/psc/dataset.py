@@ -18,6 +18,9 @@ import numpy as np
 
 # Angles per block of standard_normal's Box-Muller step (256 KiB of scratch).
 _NORMAL_BLOCK = 32768
+# Columns per centred block of centred_gram. Sized by columns, not bytes:
+# narrower blocks at a few hundred rows make the products slower.
+_GRAM_BLOCK = 4096
 
 
 class DatasetError(ValueError):
@@ -80,6 +83,11 @@ class ClassStats:
     u2: np.ndarray  # mean of class -1
     n1: int
     n2: int
+
+    @property
+    def mean(self) -> np.ndarray:
+        """The mean of all rows, r = (n1 u1 + n2 u2) / n."""
+        return (self.n1 * self.u1 + self.n2 * self.u2) / (self.n1 + self.n2)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,48 @@ def class_stats(data: LabeledMatrix) -> ClassStats:
     u1 /= n1
     u2 /= n2
     return ClassStats(u1=u1, u2=u2, n1=n1, n2=n2)
+
+
+def centred_gram(samples: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """K = Xc Xc^T for the rows Xc = X - 1 centre^T, without an n x d copy.
+
+    Centring first keeps a large common offset from cancelling in later
+    n-space products. K is summed over blocks of at most _GRAM_BLOCK
+    columns, each centred into one reused n x block buffer. The first
+    block's product is K itself, not added to zeros, so a single block
+    (d <= _GRAM_BLOCK) keeps the bits of one Xc @ Xc.T.
+    """
+    n, d = samples.shape
+    buffer = np.empty((n, min(d, _GRAM_BLOCK)))
+    K = None
+    for start in range(0, d, _GRAM_BLOCK):
+        stop = min(start + _GRAM_BLOCK, d)
+        block = np.subtract(samples[:, start:stop], centre[start:stop],
+                            out=buffer[:, :stop - start])
+        if K is None:
+            K = block @ block.T
+        else:
+            K += block @ block.T
+    return K
+
+
+def gram_coordinates(gram: np.ndarray) -> np.ndarray:
+    """n x n coordinates Z with Z Z^T = gram, for the PSD Gram of n rows.
+
+    With gram = V diag(s) V^T, Z = V sqrt(s): one column per eigenpair,
+    largest eigenvalue first, every column kept. For the Gram of the
+    centred rows Xc = U S W^T that is Z = Xc W, the centred rows in the
+    basis of their right singular vectors, up to rounding.
+
+    An eigenvalue at most n * eps * max(s) from zero is within eigh's
+    rounding of it and reads as 0, as a negative one does. A square root
+    would turn it into a column of order sqrt(eps) of the largest, and rows
+    that are all equal would then differ by that much in Z.
+    """
+    s, V = np.linalg.eigh(gram)
+    s, V = s[::-1], V[:, ::-1]
+    floor = gram.shape[0] * np.finfo(np.float64).eps * max(s[0], 0.0)
+    return V * np.sqrt(np.where(s > floor, s, 0.0))
 
 
 def load_csv(path, label_column: str, positive_labels) -> LabeledMatrix:

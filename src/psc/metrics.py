@@ -106,12 +106,7 @@ def roc_curve(labels: np.ndarray, decisions: np.ndarray):
     return points, auc
 
 
-def evaluate(labels, decisions) -> EvalReport:
-    """Full report from true labels and raw decision values.
-
-    Predictions are sign(decision) with zero mapped to +1. Single-class
-    labels still yield the defined scalar metrics; ROC and AUC are absent.
-    """
+def _checked(labels, decisions) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels).ravel()  # checked before the int cast, which truncates 1.7 to 1
     decisions = np.asarray(decisions, dtype=np.float64).ravel()
     if labels.shape != decisions.shape:
@@ -120,26 +115,42 @@ def evaluate(labels, decisions) -> EvalReport:
         raise MetricsError("labels and decisions must not be empty")
     if not ((labels == 1) | (labels == -1)).all():
         raise MetricsError("labels must be +1 or -1")
-    labels = labels.astype(np.int64, copy=False)
     if np.isnan(decisions).any():
         raise MetricsError("decisions must not be NaN")
-    preds = np.where(decisions >= 0.0, 1, -1)
+    return labels.astype(np.int64, copy=False), decisions
+
+
+def _counts(labels: np.ndarray, decisions: np.ndarray) -> ConfusionMatrix:
     pos = labels == 1
-    confusion = ConfusionMatrix(
-        tp=int((pos & (preds == 1)).sum()),
-        fn=int((pos & (preds == -1)).sum()),
-        fp=int((~pos & (preds == 1)).sum()),
-        tn=int((~pos & (preds == -1)).sum()),
-    )
-    if confusion.positives and confusion.negatives:
+    predicted_pos = decisions >= 0.0  # sign(decision) with zero mapped to +1
+    tp = int(np.count_nonzero(pos & predicted_pos))
+    fp = int(np.count_nonzero(predicted_pos)) - tp
+    positives = int(np.count_nonzero(pos))
+    return ConfusionMatrix(tp=tp, fn=positives - tp, fp=fp, tn=labels.size - positives - fp)
+
+
+def confusion(labels, decisions) -> ConfusionMatrix:
+    """evaluate's confusion counts alone, with its checks but no ROC."""
+    return _counts(*_checked(labels, decisions))
+
+
+def evaluate(labels, decisions) -> EvalReport:
+    """Full report from true labels and raw decision values.
+
+    Predictions are sign(decision) with zero mapped to +1. Single-class
+    labels still yield the defined scalar metrics; ROC and AUC are absent.
+    """
+    labels, decisions = _checked(labels, decisions)
+    counts = _counts(labels, decisions)
+    if counts.positives and counts.negatives:
         roc, auc = roc_curve(labels, decisions)
-        return replace(report_from_confusion(confusion), roc=roc, auc=auc)
+        return replace(report_from_confusion(counts), roc=roc, auc=auc)
     nan = float("nan")
     return EvalReport(
-        confusion=confusion,
-        ccr1=confusion.tp / confusion.positives if confusion.positives else nan,
-        ccr2=confusion.tn / confusion.negatives if confusion.negatives else nan,
-        total_ccr=(confusion.tp + confusion.tn) / labels.size,
+        confusion=counts,
+        ccr1=counts.tp / counts.positives if counts.positives else nan,
+        ccr2=counts.tn / counts.negatives if counts.negatives else nan,
+        total_ccr=(counts.tp + counts.tn) / labels.size,
         mwe=nan,
         bccr=nan,
         roc=None,

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassStats, LabeledMatrix
-
-
-# Columns per centred block of build_factor's Gram. Sized by columns, not
-# bytes: narrower blocks at a few hundred rows make the products slower.
-_GRAM_BLOCK = 4096
+from .dataset import ClassStats, LabeledMatrix, centred_gram
 
 
 class SmwError(ValueError):
@@ -87,7 +82,10 @@ def beta(n1: int, n2: int) -> float:
     return math.exp(-math.log(m) / 4.0)
 
 
-def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
+def build_factor(data: LabeledMatrix, stats: ClassStats, kc: np.ndarray | None = None) -> PopulationFactor:
+    """The factor of data's scatter. kc, when given, is data's centred Gram,
+    dataset.centred_gram(data.samples, stats.mean), which a prepared
+    training set holds; otherwise it is formed here."""
     n, n1, n2 = data.n, stats.n1, stats.n2
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
@@ -101,23 +99,11 @@ def build_factor(data: LabeledMatrix, stats: ClassStats) -> PopulationFactor:
     l_tau[:n1] = 1.0 / n1
     l_tau[n1:n] = 1.0 / n2
     l_tau[n] = beta(n1, n2)
-    # The one d-space step: centre on the training mean r, so that a large
-    # common offset neither cancels in E K E^T nor swamps the dual Gram.
-    # K = Xc Xc^T is summed over blocks of at most _GRAM_BLOCK columns, each
-    # centred into one reused n x block buffer, so no n x d copy is made. The
-    # first block's product is K itself, not added to zeros, so a single
-    # block (d <= _GRAM_BLOCK) keeps the bits of one Xc @ Xc.T.
-    r = (n1 * stats.u1 + n2 * stats.u2) / n
-    buffer = np.empty((n, min(data.d, _GRAM_BLOCK)))
-    K = None
-    for start in range(0, data.d, _GRAM_BLOCK):
-        stop = min(start + _GRAM_BLOCK, data.d)
-        block = np.subtract(data.samples[:, start:stop], r[start:stop],
-                            out=buffer[:, :stop - start])
-        if K is None:
-            K = block @ block.T
-        else:
-            K += block @ block.T
+    # The one d-space step: K = Xc Xc^T of the rows centred on the training
+    # mean r, so that a large common offset neither cancels in E K E^T nor
+    # swamps the dual Gram.
+    r = stats.mean
+    K = centred_gram(data.samples, r) if kc is None else kc
     EK = E @ K
     sqrt_l = np.sqrt(l_tau)
     A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]

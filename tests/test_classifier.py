@@ -218,6 +218,42 @@ class TestCPathReuse:
         assert len(solves) == 1 and served.c0 == 2.0
         assert np.shares_memory(served.w, stored.w)
         assert not served.w.flags.writeable
+        # the stored model at the new c0, field for field, w the same object
+        want = replace(stored, c0=2.0)
+        assert served.w is stored.w
+        for f in fields(LinearModel):
+            if f.name != "w":
+                assert getattr(served, f.name) == getattr(want, f.name), f.name
+        assert stored.c0 == 1.0
+
+    def test_a_psc_memo_hit_runs_no_model_check(self, monkeypatch):
+        train = prepare(simulate_hdlss(300, 20, 8, seed=12))
+        stored = fit_psc(train, Hyperparams(c0=1.0))
+
+        def checked_again(model):
+            raise AssertionError("a memo hit re-ran the model's checks")
+
+        monkeypatch.setattr(LinearModel, "__post_init__", checked_again)
+        assert fit_psc(train, Hyperparams(c0=2.0)).w is stored.w
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    def test_every_fit_reads_the_one_centred_gram(self, monkeypatch, method):
+        train = prepare(simulate_hdlss(300, 20, 8, seed=12))
+        grams = []
+        real = classifier.centred_gram
+
+        def counting(*args):
+            grams.append(real(*args))
+            return grams[-1]
+
+        monkeypatch.setattr(classifier, "centred_gram", counting)
+        for c0 in (1.0, 2.0):
+            for r_scale in (1.0, 2.0):
+                classifier.fit(method, train, Hyperparams(c0=c0, r_scale=r_scale))
+        assert len(grams) == 1 and train.gram is grams[0]
+        assert not train.gram.flags.writeable
+        if method == "psc":
+            assert train.factor.kc is train.gram
 
     def test_cssvm_on_a_prepared_set_builds_no_scatter_factor(self, monkeypatch):
         def no_factor(*args):
@@ -369,6 +405,18 @@ class TestFitCssvm:
         data = LabeledMatrix([[3.0], [4.0], [0.0], [1.0]], [1, 1, -1, -1])
         model = fit_cssvm(data, c0=100.0)
         assert -model.b / model.w[0] == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_common_offset_leaves_the_decisions(self, seed):
+        # the dual reads the centred Gram, y o K o y, so a 1e4 offset moves
+        # the held-out decisions by at most 2.9e-11 of their largest; the raw
+        # rows' X X^T moved them by up to 1.7e-7
+        train = simulate_hdlss(2000, 22, 40, seed=seed)
+        test = simulate_hdlss(2000, 22, 40, seed=1000 + seed).samples
+        shifted = LabeledMatrix(train.samples + 1e4, train.labels)
+        base = decision(fit_cssvm(train), test)
+        moved = decision(fit_cssvm(shifted), test + 1e4)
+        assert np.abs(moved - base).max() <= 1e-9 * np.abs(base).max()
 
 
 class TestFitRmdd:

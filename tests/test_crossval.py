@@ -15,7 +15,7 @@ from psc.crossval import (
     cv_run,
     tune_and_fit,
 )
-from psc.dataset import LabeledMatrix, simulate_hdlss, stratified_kfold
+from psc.dataset import LabeledMatrix, gram_coordinates, simulate_hdlss, stratified_kfold
 from psc.intercept import InterceptError
 from psc.metrics import evaluate
 
@@ -190,11 +190,24 @@ class TestSolveCount:
         assert len(solves) == config.outer_folds * (config.inner_folds * gammas + 1)
 
 
+def counting_scorer(monkeypatch):
+    """Record every inner validation score crossval computes."""
+    scored = []
+    real = crossval._validation_score
+
+    def counting(*args):
+        scored.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crossval, "_validation_score", counting)
+    return scored
+
+
 class TestEvaluateCount:
     """A grid cell whose fit returns the last scored model's w (the same
-    object) and an equal b reuses that model's validation score: evaluate
-    runs once per distinct model of an inner fold, and the choices are the
-    cell-by-cell search's."""
+    object) and an equal b reuses that model's validation score: the inner
+    scorer runs once per distinct model of an inner fold, evaluate only on
+    the outer folds, and the choices are the cell-by-cell search's."""
 
     @pytest.mark.parametrize("method", ["psc", "cssvm"])
     def test_one_evaluate_per_distinct_model(self, monkeypatch, method):
@@ -205,7 +218,8 @@ class TestEvaluateCount:
 
         def recording_fit(method, train, hp, **kwargs):
             model = real_fit(method, train, hp, **kwargs)
-            if isinstance(train, classifier.TrainingSet):  # an inner fold's cell
+            # an inner fold's cell: on coordinates, as d > n, where an outer refit has d columns
+            if isinstance(train, classifier.TrainingSet) and train.data.d != data.d:
                 inner_fits.append((train, model.w.tobytes(), model.b))
             return model
 
@@ -215,11 +229,13 @@ class TestEvaluateCount:
 
         monkeypatch.setattr(classifier, "fit", recording_fit)
         monkeypatch.setattr(crossval, "evaluate", counting_evaluate)
+        scored = counting_scorer(monkeypatch)
         out = cv_run(data, config)
         # the list holds every inner set, so no two share an id
         distinct = len({(id(ts), w, b) for ts, w, b in inner_fits})
         assert distinct < len(inner_fits)  # the shape has memo hits to reuse
-        assert len(evaluations) == distinct + config.outer_folds + config.repeats + 1
+        assert len(scored) == distinct
+        assert len(evaluations) == config.outer_folds + config.repeats + 1
 
         outer = stratified_kfold(data.labels, config.outer_folds, seed=config.seed)
         for f, fold in enumerate(out["repeats"][0]["folds"]):
@@ -240,20 +256,27 @@ class TestEvaluateCount:
         b_by_c0 = {0.5: -dec.min(), 1.0: base.b, 2.0: base.b, 4.0: -dec.max() - 1.0}
         monkeypatch.setattr(classifier, "fit",
                             lambda method, train, hp: replace(base, b=b_by_c0[hp.c0]))
-        evaluations = []
-
-        def counting_evaluate(*args, **kwargs):
-            evaluations.append(args)
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(crossval, "evaluate", counting_evaluate)
+        scored = counting_scorer(monkeypatch)
         scores = {hp: [] for hp in crossval._candidate_grid(config)}
         crossval._score_inner_fold(data, tr, va, scores, config)
-        assert len(evaluations) == 3
+        assert len(scored) == 3
         for hp, got in scores.items():
             want = evaluate(data.labels[va], dec + b_by_c0[hp.c0]).bccr
             assert got == [want]
         assert len({got[0] for got in scores.values()}) > 1
+
+    @pytest.mark.parametrize("metric", SELECTION_METRICS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_inner_score_is_evaluates_bit_for_bit(self, metric, seed):
+        # from the confusion counts alone, with a decision of exactly 0
+        # (class +1), of -0.0 and of both infinities among them
+        rng = np.random.default_rng(seed)
+        labels = np.array([1, -1] * 10)
+        decisions = rng.standard_normal(20)
+        decisions[rng.permutation(20)[:4]] = [0.0, -0.0, np.inf, -np.inf]
+        want = getattr(evaluate(labels, decisions), metric)
+        got = crossval._validation_score(labels, decisions, metric)
+        assert got == (1.0 - want if metric == "mwe" else want)
 
 
 class TestTuneAndFit:
@@ -312,31 +335,51 @@ def cell_by_cell_choice(train, config, fold_seed):
     return best
 
 
+def coordinates(data):
+    """The n coordinates tune_and_fit gives the inner folds of all of data's rows."""
+    return gram_coordinates(classifier.prepare(data).gram)
+
+
 class TestFoldOuterGrid:
+    """At d > n the inner folds run on the outer rows' coordinates, and the
+    choice is still the cell-by-cell search's on the raw rows."""
+
     def test_matches_cell_outer_search_and_skips_a_cell_failing_on_one_fold(self, monkeypatch):
-        data = simulate_hdlss(40, 16, 24, seed=9)
-        config = small_config(gamma_grid=(0.1, 0.5, 0.9), c0_grid=(2.0**-3, 2.0, 2.0**3),
-                              inner_folds=4)
+        for method in ("psc", "cssvm"):
+            with monkeypatch.context() as patch:
+                self.check_a_cell_failing_on_one_fold(patch, method)
+
+    @staticmethod
+    def check_a_cell_failing_on_one_fold(monkeypatch, method):
+        data = simulate_hdlss(200, 16, 24, seed=9)
+        config = small_config(method=method, gamma_grid=(0.1, 0.5, 0.9),
+                              c0_grid=(2.0**-3, 2.0, 2.0**3), inner_folds=4)
         fold_seed = 17
         everything = np.arange(data.n)
         _, winner = tune_and_fit(data.samples, data.labels, everything, config, fold_seed)
         assert winner == cell_by_cell_choice(data, config, fold_seed)
 
         # the winning cell now fails on inner fold 1 only: the fold whose
-        # validation rows hold the marked row, so its training set lacks it
+        # validation rows hold the marked row, so its training set lacks it.
+        # The mark is the row's first entry: of its raw row in the reference
+        # search, and of its coordinates in the grid search.
         inner = stratified_kfold(data.labels, config.inner_folds, seed=fold_seed)
-        mark = data.samples[inner.test_indices(1)[0], 0]
-        real_fit = classifier.fit_psc
+        marked = inner.test_indices(1)[0]
+        marks = {data.d: data.samples[marked, 0], data.n: coordinates(data)[marked, 0]}
+        name = {"psc": "fit_psc", "cssvm": "fit_cssvm"}[method]
+        real_fit = getattr(classifier, name)
         calls = []
 
-        def fit_failing_once(train, hp):
+        def fit_failing_once(train, *args, **kwargs):
             rows = train.data if isinstance(train, classifier.TrainingSet) else train
-            calls.append((hp.gamma, hp.c0))
-            if (hp.gamma, hp.c0) == winner and mark not in rows.samples[:, 0]:
+            hp = args[0] if args else Hyperparams(c0=kwargs["c0"], r_scale=kwargs["r_scale"])
+            cell = (hp.gamma if method == "psc" else config.gamma_grid[0], hp.c0)
+            calls.append(cell)
+            if cell == winner and marks[rows.d] not in rows.samples[:, 0]:
                 raise FitError("injected failure")
-            return real_fit(train, hp)
+            return real_fit(train, *args, **kwargs)
 
-        monkeypatch.setattr(classifier, "fit_psc", fit_failing_once)
+        monkeypatch.setattr(classifier, name, fit_failing_once)
         _, chosen = tune_and_fit(data.samples, data.labels, everything, config, fold_seed)
         assert calls.count(winner) == 2  # folds 0 and 1; never scored on folds 2 and 3
         calls.clear()
@@ -346,8 +389,97 @@ class TestFoldOuterGrid:
 
     @pytest.mark.parametrize("metric", SELECTION_METRICS)
     def test_every_selection_metric_picks_the_cell_outer_choice(self, metric):
-        data = simulate_hdlss(40, 16, 24, seed=9)
-        config = small_config(gamma_grid=(0.1, 0.5, 0.9), c0_grid=(2.0**-3, 2.0, 2.0**3),
-                              inner_folds=4, selection_metric=metric)
-        _, winner = tune_and_fit(data.samples, data.labels, np.arange(data.n), config, 17)
-        assert winner == cell_by_cell_choice(data, config, 17)
+        data = simulate_hdlss(200, 16, 24, seed=9)
+        for method in ("psc", "cssvm"):
+            config = small_config(method=method, gamma_grid=(0.1, 0.5, 0.9),
+                                  c0_grid=(2.0**-3, 2.0, 2.0**3), inner_folds=4,
+                                  selection_metric=metric)
+            _, winner = tune_and_fit(data.samples, data.labels, np.arange(data.n), config, 17)
+            assert winner == cell_by_cell_choice(data, config, 17)
+
+
+def offset(data, by):
+    return LabeledMatrix(data.samples + by, data.labels)
+
+
+class TestCoordinates:
+    """tune_and_fit's inner folds at d > n: the rows' n coordinates Z, with
+    Z Z^T the Gram K of the outer training rows centred on their mean."""
+
+    @pytest.mark.parametrize("d", [39, 40, 41, 200])
+    def test_inner_fits_get_n_columns_only_when_d_exceeds_n(self, monkeypatch, d):
+        data = simulate_hdlss(d, 16, 24, seed=9)  # n = 40
+        inner = stratified_kfold(data.labels, 4, seed=17)
+        rows = coordinates(data) if d > data.n else data.samples
+        real_fit = classifier.fit
+        given = []
+
+        def recording_fit(method, train, hp):
+            given.append(train.data)
+            return real_fit(method, train, hp)
+
+        monkeypatch.setattr(classifier, "fit", recording_fit)
+        tune_and_fit(data.samples, data.labels, np.arange(data.n),
+                     small_config(inner_folds=4), fold_seed=17)
+        *inner_sets, refit = given
+        assert len(inner_sets) == 4 * 4
+        for k, got in enumerate(inner_sets):
+            tr = inner.train_indices(k // 4)
+            assert got.samples.tobytes() == rows[tr].tobytes()
+            assert np.array_equal(got.labels, data.labels[tr])
+        assert refit.samples.tobytes() == data.samples.tobytes()
+
+    @pytest.mark.parametrize("by", [0.0, 1e4])
+    @pytest.mark.parametrize("shape", [(2000, 22, 40), (12533, 6, 10), (41, 16, 24)])
+    def test_they_give_back_the_centred_gram(self, shape, by):
+        data = offset(simulate_hdlss(*shape, seed=shape[0]), by)
+        K = classifier.prepare(data).gram
+        Z = gram_coordinates(K)
+        assert Z.shape == (data.n, data.n)
+        assert np.abs(Z @ Z.T - K).max() <= 1e-12 * np.abs(K).max()
+        norms = np.linalg.norm(Z, axis=0)
+        assert (norms[:-1] >= norms[1:]).all()  # largest eigenvalue first
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    @pytest.mark.parametrize("by, bound", [(0.0, 1e-12), (1e4, 1e-9)])
+    def test_validation_decisions_match_the_raw_rows(self, method, by, bound):
+        # over 10 seeds x 4 folds the worst reads 1.3e-14 for psc and 9e-15
+        # for cssvm, and 4.4e-11 and 3.6e-11 with the offset
+        for seed in range(10):
+            data = offset(simulate_hdlss(2000, 22, 40, seed), by)
+            Z = coordinates(data)
+            inner = stratified_kfold(data.labels, 4, seed=seed)
+            for f in range(4):
+                tr, va = inner.train_indices(f), inner.test_indices(f)
+                for hp in (Hyperparams(gamma=0.1, c0=0.5), Hyperparams(gamma=0.9, c0=2.0)):
+                    raw = classifier.fit(method, LabeledMatrix(data.samples[tr], data.labels[tr]), hp)
+                    moved = classifier.fit(method, LabeledMatrix(Z[tr], data.labels[tr]), hp)
+                    want = classifier.decision(raw, data.samples[va])
+                    got = classifier.decision(moved, Z[va])
+                    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+                    assert np.array_equal(got >= 0.0, want >= 0.0)
+
+    @pytest.mark.parametrize("row", [np.arange(1.0, 61.0),
+                                     np.random.default_rng(7).standard_normal(60)])
+    def test_identical_rows_still_fail_every_psc_cell(self, monkeypatch, row):
+        # the second row's coordinates differ by 1e-8 of their size, and six
+        # of 40 such rows fit, when eigenvalues within eigh's rounding of 0
+        # are kept; gram_coordinates reads them as 0
+        data = LabeledMatrix(np.tile(row, (30, 1)), [1] * 10 + [-1] * 20)  # d = 60 > n
+        real_fit = classifier.fit_psc
+        fits = []
+
+        def recording_fit(train, hp):
+            fits.append(train.data.d)
+            try:
+                real_fit(train, hp)
+            except FitError as exc:
+                assert "degenerate data" in str(exc)
+                raise
+            raise AssertionError("a psc fit on identical rows succeeded")
+
+        monkeypatch.setattr(classifier, "fit_psc", recording_fit)
+        with pytest.raises(FitError, match="repeat 0: every outer fold failed; "
+                                           "fold 0: degenerate data"):
+            cv_run(data, small_config(repeats=1))
+        assert fits.count(data.n // 2) == 2 * 4  # each outer fold's first inner fold, every cell

@@ -9,6 +9,7 @@ from psc.metrics import (
     ConfusionMatrix,
     MetricsError,
     bccr,
+    confusion,
     evaluate,
     mwe,
     report_from_confusion,
@@ -180,6 +181,30 @@ class TestEvaluate:
         with pytest.raises(MetricsError, match="no ROC"):
             save_roc_csv(report, tmp_path / "roc.csv")
         assert not (tmp_path / "roc.csv").exists()
+
+
+class TestConfusionCounts:
+    """confusion gives evaluate's counts and refuses what evaluate refuses."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_evaluate(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.choice([1, -1], size=40)
+        decisions = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.5, np.inf], size=40)
+        decisions[::3] = rng.standard_normal(14)
+        for lab in (labels, np.ones(40, dtype=np.int64), labels.tolist()):
+            assert confusion(lab, decisions) == evaluate(lab, decisions).confusion
+
+    @pytest.mark.parametrize("labels, decisions, message", [
+        ([1, -1], [1.0], "equal length"),
+        ([], [], "must not be empty"),
+        ([1, -1], [np.nan, 0.5], "NaN"),
+        ([1.7, -1.2], [0.5, -0.5], r"labels must be \+1 or -1"),
+    ])
+    def test_refuses_what_evaluate_refuses(self, labels, decisions, message):
+        for call in (confusion, evaluate):
+            with pytest.raises(MetricsError, match=message):
+                call(labels, decisions)
 
 
 class TestRocCurve:
