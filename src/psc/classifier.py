@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -137,14 +137,6 @@ class TrainingSet:
         return hit[1] if hit is not None and c0 >= hit[0] else None
 
 
-def _at_c0(model: LinearModel, c0: float) -> LinearModel:
-    """A shallow copy of a stored model with c0 set. Its w is already
-    checked and read-only, so __post_init__ is not run on it again."""
-    served = object.__new__(LinearModel)
-    served.__dict__.update(vars(model), c0=c0)
-    return served
-
-
 def prepare(data: LabeledMatrix) -> TrainingSet:
     return TrainingSet(data=data, stats=class_stats(data))
 
@@ -160,7 +152,7 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     key = ("psc", hp.gamma, hp.r_scale)
     model = train.recall(key, hp.c0)
     if model is not None:
-        return _at_c0(model, hp.c0)
+        return replace(model, c0=hp.c0)
     data, stats = train.data, train.stats
     cap = smw.lambda_cap(train.factor)
     if not math.isfinite(cap):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassStats, LabeledMatrix, centred_gram
+from .dataset import ClassStats, LabeledMatrix
 
 
 class SmwError(ValueError):
@@ -82,10 +82,9 @@ def beta(n1: int, n2: int) -> float:
     return math.exp(-math.log(m) / 4.0)
 
 
-def build_factor(data: LabeledMatrix, stats: ClassStats, kc: np.ndarray | None = None) -> PopulationFactor:
-    """The factor of data's scatter. kc, when given, is data's centred Gram,
-    dataset.centred_gram(data.samples, stats.mean), which a prepared
-    training set holds; otherwise it is formed here."""
+def build_factor(data: LabeledMatrix, stats: ClassStats, kc: np.ndarray) -> PopulationFactor:
+    """The factor of data's scatter from kc, data's centred Gram
+    dataset.centred_gram(data.samples, stats.mean)."""
     n, n1, n2 = data.n, stats.n1, stats.n2
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == -1)
@@ -99,11 +98,9 @@ def build_factor(data: LabeledMatrix, stats: ClassStats, kc: np.ndarray | None =
     l_tau[:n1] = 1.0 / n1
     l_tau[n1:n] = 1.0 / n2
     l_tau[n] = beta(n1, n2)
-    # The one d-space step: K = Xc Xc^T of the rows centred on the training
-    # mean r, so that a large common offset neither cancels in E K E^T nor
-    # swamps the dual Gram.
-    r = stats.mean
-    K = centred_gram(data.samples, r) if kc is None else kc
+    # K = Xc Xc^T holds the rows centred on the training mean r, so that a
+    # large common offset neither cancels in E K E^T nor swamps the dual Gram.
+    r, K = stats.mean, kc
     EK = E @ K
     sqrt_l = np.sqrt(l_tau)
     A = sqrt_l[:, None] * (EK @ E.T) * sqrt_l[None, :]

@@ -4,8 +4,8 @@ QPs, the SMO loop that qp.solve_smo must match within stated bounds, the
 per-candidate threshold loop that intercept.min_misclass_intercept must match
 bit for bit, the d-space scatter factor with the lambda cap and the Gram
 formed from it, and the centred Gram in one d-space product, which
-smw.build_factor's n-space and column-blocked paths must match within
-stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
+smw.build_factor's n-space path and dataset.centred_gram's column blocks
+must match within stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
 the class means that dataset.standard_normal and dataset.class_stats must
 match bit for bit, and the cell-by-cell CSV writer and reader whose bytes,
 bits and errors dataset.write_csv and dataset.load_csv must match."""

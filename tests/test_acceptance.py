@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest, mannwhitneyu
 
-from psc.classifier import Hyperparams, bayes_oracle, fit_cssvm, fit_psc
+from psc.classifier import Hyperparams, bayes_oracle, fit_cssvm, fit_psc, prepare
 from psc.dataset import (
     LabeledMatrix,
     class_stats,
@@ -20,7 +20,7 @@ from psc.dataset import (
 from psc.intercept import Projections, gap_intercept, min_misclass_intercept
 from psc.metrics import ConfusionMatrix, evaluate, report_from_confusion
 from psc.qp import BoxQP, solve_smo
-from psc.smw import apply_inverse, build_factor, build_operator, gram, lambda_cap
+from psc.smw import apply_inverse, build_operator, gram, lambda_cap
 from tests.oracles import brute_force_small, dense_scatter
 from tests.table_fixtures import TABLE_ROWS
 from tests.test_intercept import misclass_count
@@ -55,7 +55,7 @@ def test_criterion_2_smw_oracle_equivalence():
         data = LabeledMatrix(rng.standard_normal((n, d)),
                              [1] * n1 + [-1] * (n - n1))
         stats = class_stats(data)
-        factor = build_factor(data, stats)
+        factor = prepare(data).factor
         lam = gammas[case % 5] * lambda_cap(factor)
         op = build_operator(factor, lam)
         dense = np.linalg.inv(np.eye(d) - lam * dense_scatter(data, stats))

@@ -226,16 +226,6 @@ class TestCPathReuse:
                 assert getattr(served, f.name) == getattr(want, f.name), f.name
         assert stored.c0 == 1.0
 
-    def test_a_psc_memo_hit_runs_no_model_check(self, monkeypatch):
-        train = prepare(simulate_hdlss(300, 20, 8, seed=12))
-        stored = fit_psc(train, Hyperparams(c0=1.0))
-
-        def checked_again(model):
-            raise AssertionError("a memo hit re-ran the model's checks")
-
-        monkeypatch.setattr(LinearModel, "__post_init__", checked_again)
-        assert fit_psc(train, Hyperparams(c0=2.0)).w is stored.w
-
     @pytest.mark.parametrize("method", ["psc", "cssvm"])
     def test_every_fit_reads_the_one_centred_gram(self, monkeypatch, method):
         train = prepare(simulate_hdlss(300, 20, 8, seed=12))

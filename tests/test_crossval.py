@@ -341,17 +341,19 @@ def coordinates(data):
 
 
 class TestFoldOuterGrid:
-    """At d > n the inner folds run on the outer rows' coordinates, and the
-    choice is still the cell-by-cell search's on the raw rows."""
+    """The choice is the cell-by-cell search's on the raw rows: at d = n,
+    where the inner folds keep the raw rows, and at d > n, where they run on
+    the outer rows' coordinates."""
 
     def test_matches_cell_outer_search_and_skips_a_cell_failing_on_one_fold(self, monkeypatch):
-        for method in ("psc", "cssvm"):
-            with monkeypatch.context() as patch:
-                self.check_a_cell_failing_on_one_fold(patch, method)
+        for d in (40, 200):
+            for method in ("psc", "cssvm"):
+                with monkeypatch.context() as patch:
+                    self.check_a_cell_failing_on_one_fold(patch, d, method)
 
     @staticmethod
-    def check_a_cell_failing_on_one_fold(monkeypatch, method):
-        data = simulate_hdlss(200, 16, 24, seed=9)
+    def check_a_cell_failing_on_one_fold(monkeypatch, d, method):
+        data = simulate_hdlss(d, 16, 24, seed=9)
         config = small_config(method=method, gamma_grid=(0.1, 0.5, 0.9),
                               c0_grid=(2.0**-3, 2.0, 2.0**3), inner_folds=4)
         fold_seed = 17
@@ -362,10 +364,12 @@ class TestFoldOuterGrid:
         # the winning cell now fails on inner fold 1 only: the fold whose
         # validation rows hold the marked row, so its training set lacks it.
         # The mark is the row's first entry: of its raw row in the reference
-        # search, and of its coordinates in the grid search.
+        # search, and in the grid search of its coordinates when d > n.
         inner = stratified_kfold(data.labels, config.inner_folds, seed=fold_seed)
         marked = inner.test_indices(1)[0]
-        marks = {data.d: data.samples[marked, 0], data.n: coordinates(data)[marked, 0]}
+        raw_mark = data.samples[marked, 0]
+        marks = {data.d: raw_mark,
+                 data.n: coordinates(data)[marked, 0] if data.d > data.n else raw_mark}
         name = {"psc": "fit_psc", "cssvm": "fit_cssvm"}[method]
         real_fit = getattr(classifier, name)
         calls = []
@@ -389,13 +393,14 @@ class TestFoldOuterGrid:
 
     @pytest.mark.parametrize("metric", SELECTION_METRICS)
     def test_every_selection_metric_picks_the_cell_outer_choice(self, metric):
-        data = simulate_hdlss(200, 16, 24, seed=9)
-        for method in ("psc", "cssvm"):
-            config = small_config(method=method, gamma_grid=(0.1, 0.5, 0.9),
-                                  c0_grid=(2.0**-3, 2.0, 2.0**3), inner_folds=4,
-                                  selection_metric=metric)
-            _, winner = tune_and_fit(data.samples, data.labels, np.arange(data.n), config, 17)
-            assert winner == cell_by_cell_choice(data, config, 17)
+        for d in (40, 200):
+            data = simulate_hdlss(d, 16, 24, seed=9)
+            for method in ("psc", "cssvm"):
+                config = small_config(method=method, gamma_grid=(0.1, 0.5, 0.9),
+                                      c0_grid=(2.0**-3, 2.0, 2.0**3), inner_folds=4,
+                                      selection_metric=metric)
+                _, winner = tune_and_fit(data.samples, data.labels, np.arange(data.n), config, 17)
+                assert winner == cell_by_cell_choice(data, config, 17), (d, method)
 
 
 def offset(data, by):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psc.classifier import prepare
 from psc.dataset import LabeledMatrix, class_stats, simulate_hdlss
-from psc.smw import beta, build_factor
+from psc.smw import beta
 from tests.oracles import dense_scatter, scatter_rows
 
 
@@ -51,7 +52,7 @@ class TestBuildFactor:
     def test_scalar_hand_example(self):
         # classes {0,2} and {5,7}: S_W = 2, S_B = 25, beta = 1 -> 27
         data = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         P = (f.e_matrix @ data.samples).T @ f.basis
         dense = P @ P.T
         assert dense[0, 0] == pytest.approx(27.0, abs=1e-12)
@@ -60,13 +61,13 @@ class TestBuildFactor:
     def test_equal_means_zero_last_row(self):
         data = LabeledMatrix([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]],
                              [1, 1, -1, -1])
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         assert np.all((f.e_matrix @ data.samples)[-1] == 0.0)
 
     def test_centering_rows(self):
         data = random_instance(3)
         s = class_stats(data)
-        f = build_factor(data, s)
+        f = prepare(data).factor
         D = f.e_matrix @ data.samples
         assert np.abs(D[: s.n1].sum(axis=0)).max() < 1e-12
         assert np.abs(D[s.n1: -1].sum(axis=0)).max() < 1e-12
@@ -76,7 +77,7 @@ class TestBuildFactor:
         # the row weights, and basis basis^T = diag(L_tau)
         data = random_instance(4)
         s = class_stats(data)
-        f = build_factor(data, s)
+        f = prepare(data).factor
         P = (f.e_matrix @ data.samples).T @ f.basis
         assert np.allclose(P @ P.T, dense_scatter(data, s))
         assert np.allclose(P.T @ P, np.diag(f.spectrum))
@@ -89,7 +90,7 @@ class TestBuildFactor:
         for seed in range(20):
             data = random_instance(seed)
             s = class_stats(data)
-            f = build_factor(data, s)
+            f = prepare(data).factor
             D, l_tau = scatter_rows(data, s)
             assert np.abs(f.e_matrix.sum(axis=1)).max() < 1e-14
             assert np.abs(f.e_matrix @ data.samples - D).max() <= 1e-12 * max(np.abs(D).max(), 1.0)
@@ -103,7 +104,7 @@ class TestBuildFactor:
         for seed in range(20):
             data = random_instance(seed)
             s = class_stats(data)
-            f = build_factor(data, s)
+            f = prepare(data).factor
             P = (f.e_matrix @ data.samples).T @ f.basis
             dense = dense_scatter(data, s)
             scale = max(np.linalg.norm(dense), 1.0)
@@ -141,7 +142,7 @@ class TestDenseScatter:
 def test_factor_dense_equivalence_property(seed):
     data = random_instance(seed)
     s = class_stats(data)
-    f = build_factor(data, s)
+    f = prepare(data).factor
     P = (f.e_matrix @ data.samples).T @ f.basis
     dense = dense_scatter(data, s)
     assert np.linalg.norm(P @ P.T - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)

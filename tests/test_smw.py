@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from psc.classifier import prepare
 from psc.crossval import DEFAULT_GAMMA_GRID
-from psc.dataset import LabeledMatrix, class_stats, simulate_fig1, simulate_hdlss, stratified_kfold
-from psc.smw import SmwError, SmwOperator, apply_inverse, build_factor, build_operator, gram, lambda_cap
+from psc.dataset import LabeledMatrix, centred_gram, class_stats, simulate_fig1, simulate_hdlss, stratified_kfold
+from psc.smw import SmwError, SmwOperator, apply_inverse, build_operator, gram, lambda_cap
 from tests.oracles import centred_gram_reference, dense_scatter, gram_reference, lambda_cap_reference
 from tests.test_qp import with_duplicates
 from tests.test_scatter import random_instance
@@ -12,7 +13,7 @@ SCALAR_DATA = LabeledMatrix([[0.0], [2.0], [5.0], [7.0]], [1, 1, -1, -1])
 
 
 def scalar_factor():
-    return build_factor(SCALAR_DATA, class_stats(SCALAR_DATA))
+    return prepare(SCALAR_DATA).factor
 
 
 def scaled(data, by):
@@ -52,21 +53,21 @@ class TestLambdaCap:
     def test_feature_scaling(self):
         data = random_instance(7)
         scaled = LabeledMatrix(3.0 * data.samples, data.labels)
-        c1 = lambda_cap(build_factor(data, class_stats(data)))
-        c2 = lambda_cap(build_factor(scaled, class_stats(scaled)))
+        c1 = lambda_cap(prepare(data).factor)
+        c2 = lambda_cap(prepare(scaled).factor)
         assert c2 == pytest.approx(c1 / 9.0, rel=1e-9)
 
     def test_matches_dense_eigenvalue(self):
         for seed in range(15):
             data = random_instance(seed, d_max=50)
             s = class_stats(data)
-            cap = lambda_cap(build_factor(data, s))
+            cap = lambda_cap(prepare(data).factor)
             lam_max = np.linalg.eigvalsh(dense_scatter(data, s)).max()
             assert cap == pytest.approx(1.0 / lam_max, rel=1e-9)
 
     def test_zero_matrix_sentinel(self):
         data = LabeledMatrix([[1.0], [1.0], [1.0], [1.0]], [1, 1, -1, -1])
-        assert lambda_cap(build_factor(data, class_stats(data))) == np.inf
+        assert lambda_cap(prepare(data).factor) == np.inf
 
     def test_equal_rows_at_any_value_read_as_zero_scatter(self):
         # the class means round (0.1 averaged over 3 rows is not 0.1), so the
@@ -74,7 +75,7 @@ class TestLambdaCap:
         for v in np.linspace(-5.0, 5.0, 97):
             for n1, n2 in [(3, 5), (2, 2), (10, 4), (1, 6)]:
                 data = LabeledMatrix(np.full((n1 + n2, 3), v), [1] * n1 + [-1] * n2)
-                assert lambda_cap(build_factor(data, class_stats(data))) == np.inf
+                assert lambda_cap(prepare(data).factor) == np.inf
 
 
 class TestBuildOperator:
@@ -100,7 +101,7 @@ class TestBuildOperator:
 
     def test_tiny_lambda_is_identity(self):
         data = random_instance(11)
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         op = build_operator(f, 1e-12)
         v = np.random.default_rng(0).standard_normal((data.d, 1))
         out = apply_inverse(op, v)
@@ -109,7 +110,7 @@ class TestBuildOperator:
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(5)
         data = LabeledMatrix(rng.standard_normal((5, 20)), [1, 1, -1, -1, -1])
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         lam = 0.3 * lambda_cap(f)
         op = build_operator(f, lam)
         m_smw = apply_inverse(op, np.eye(20))
@@ -129,7 +130,7 @@ class TestBuildOperator:
         # the operator's weights are what make the dual Gram PSD, so an
         # operator that holds any other weights cannot be made
         data = random_instance(33, d_max=40)
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         with pytest.raises(SmwError, match=f"weights must be {data.n + 1} finite positive values"):
             SmwOperator(factor=f, weights=bad(data.n))
 
@@ -143,7 +144,7 @@ class TestApplyInverse:
         for seed in range(10):
             data = random_instance(seed + 50, d_max=30)
             s = class_stats(data)
-            f = build_factor(data, s)
+            f = prepare(data).factor
             lam = 0.7 * lambda_cap(f)
             op = build_operator(f, lam)
             rng = np.random.default_rng(seed)
@@ -161,14 +162,14 @@ class TestApplyInverse:
 class TestGram:
     def test_two_point_identity(self):
         data = LabeledMatrix([[1.0], [-1.0]], [1, -1])
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         op = build_operator(f, 1e-14)
         g = gram(op, data)
         assert np.allclose(g, [[1.0, 1.0], [1.0, 1.0]], atol=1e-10)
 
     def test_small_lambda_limit_is_svm_gram(self):
         data = random_instance(21)
-        f = build_factor(data, class_stats(data))
+        f = prepare(data).factor
         op = build_operator(f, min(1e-13, 1e-6 * lambda_cap(f)))
         y = data.labels.astype(float)
         x = data.samples - data.samples.mean(axis=0)
@@ -179,7 +180,7 @@ class TestGram:
     def test_matches_dense_path(self):
         for seed in range(10):
             data = random_instance(seed + 200, d_max=25)
-            f = build_factor(data, class_stats(data))
+            f = prepare(data).factor
             lam = 0.5 * lambda_cap(f)
             op = build_operator(f, lam)
             y = data.labels.astype(float)
@@ -194,7 +195,7 @@ class TestGram:
         # positive operator weights make G PSD by construction; the bound
         # is the one gram_reference's guard applies
         for data in PSD_FAMILIES[family]():
-            f = build_factor(data, class_stats(data))
+            f = prepare(data).factor
             g = gram(build_operator(f, gamma * lambda_cap(f)), data)
             assert np.array_equal(g, g.T)
             eigs = np.linalg.eigvalsh(g)
@@ -207,7 +208,7 @@ class TestGram:
 
 
 class TestCentredGramBlocks:
-    """build_factor sums K = Xc Xc^T over blocks of at most 4096 columns. Up
+    """centred_gram sums K = Xc Xc^T over blocks of at most 4096 columns. Up
     to 4096 columns that is one block, with the single product's bits;
     beyond, several blocks with a ragged last one stay within 1e-12 of the
     d-space Gram's largest entry, also with a 1e4 offset on every feature."""
@@ -217,13 +218,13 @@ class TestCentredGramBlocks:
         data = simulate_hdlss(d, 20, 10, seed=d)
         s = class_stats(data)
         Xc = data.samples - (s.n1 * s.u1 + s.n2 * s.u2) / data.n
-        assert build_factor(data, s).kc.tobytes() == (Xc @ Xc.T).tobytes()
+        assert centred_gram(data.samples, s.mean).tobytes() == (Xc @ Xc.T).tobytes()
 
     @pytest.mark.parametrize("by", [0.0, 1e4])
     @pytest.mark.parametrize("d", [4097, 20000])
     def test_several_blocks_match_the_d_space_gram(self, d, by):
         data = offset(simulate_hdlss(d, 20, 10, seed=d), by)
-        kc = build_factor(data, class_stats(data)).kc
+        kc = centred_gram(data.samples, class_stats(data).mean)
         ref = centred_gram_reference(data)
         assert np.abs(kc - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -248,7 +249,7 @@ class TestGramMatchesReference:
             d = int(rng.integers(2, 51))
             n1 = int(rng.integers(2, n - 1))
             data = LabeledMatrix(rng.standard_normal((n, d)), [1] * n1 + [-1] * (n - n1))
-            f = build_factor(data, class_stats(data))
+            f = prepare(data).factor
             assert_close_gram(build_operator(f, gammas[case % 5] * lambda_cap(f)), data)
 
     def test_cv_psc_inner_set_at_every_default_gamma(self):
@@ -259,7 +260,7 @@ class TestGramMatchesReference:
         train = LabeledMatrix(data.samples[outer], data.labels[outer])
         inner = stratified_kfold(train.labels, 4, seed=100_003).train_indices(0)
         sub = LabeledMatrix(train.samples[inner], train.labels[inner])
-        f = build_factor(sub, class_stats(sub))
+        f = prepare(sub).factor
         for gamma in DEFAULT_GAMMA_GRID:
             assert_close_gram(build_operator(f, gamma * lambda_cap(f)), sub)
 
@@ -270,13 +271,13 @@ class TestGramMatchesReference:
         data = simulate_hdlss(2000, 22, 40, seed=seed)
         data = LabeledMatrix(data.samples + 1e4, data.labels)
         s = class_stats(data)
-        f = build_factor(data, s)
+        f = prepare(data).factor
         assert lambda_cap(f) == pytest.approx(lambda_cap_reference(data, s), rel=1e-11, abs=0.0)
         assert_close_gram(build_operator(f, 0.5 * lambda_cap(f)), data, bound=1e-12)
 
     def test_rows_other_than_the_factors_are_rejected(self):
         data = random_instance(5, d_max=10)
-        op = build_operator(build_factor(data, class_stats(data)), 1e-3)
+        op = build_operator(prepare(data).factor, 1e-3)
         fewer = LabeledMatrix(data.samples[1:], data.labels[1:])
         with pytest.raises(SmwError, match=f"built on {data.n} training rows, got {data.n - 1}"):
             gram(op, fewer)
