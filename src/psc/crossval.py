@@ -120,29 +120,18 @@ def tune_and_fit(
 ) -> tuple[LinearModel, tuple[float, float]]:
     """Grid-search on inner folds of train_idx, then refit on all of it.
 
-    Only rows listed in train_idx are ever materialized, so held-out rows
-    stay unread during tuning and refitting. A cell that fails on any inner
-    fold is skipped.
-
-    Every method here is linear and blind to a rotation of feature space
-    and to a common shift of the rows. So when the train_idx rows have more
-    features than there are rows (d > n), the inner folds run on their n
-    coordinates Z, Z Z^T the Gram of those rows centred on their mean
-    (dataset.gram_coordinates), instead of on the d features. Z is made
-    from the train_idx rows alone, and the validation decisions are the
-    d features' in exact arithmetic. The refit stays in d-space.
+    Only the train_idx rows of samples are ever materialized, so held-out
+    rows stay unread during tuning and refitting, in whichever space cv_run
+    gives the samples. A cell that fails on any inner fold is skipped.
     """
     train = classifier.prepare(LabeledMatrix(samples[train_idx], labels[train_idx]))
     grid = _candidate_grid(config)
     scores = {}
     if len(grid) > 1:
-        rows = train.data
-        if rows.d > rows.n:
-            rows = LabeledMatrix(gram_coordinates(train.gram), rows.labels)
-        inner = stratified_kfold(rows.labels, config.inner_folds, seed=fold_seed)
+        inner = stratified_kfold(train.data.labels, config.inner_folds, seed=fold_seed)
         scores = {hp: [] for hp in grid}
         for f in range(config.inner_folds):
-            _score_inner_fold(rows, inner.train_indices(f), inner.test_indices(f), scores, config)
+            _score_inner_fold(train.data, inner.train_indices(f), inner.test_indices(f), scores, config)
     # ties: smaller c0, then gamma, then the first cell in grid order
     best = min(scores, key=lambda hp: (-float(np.mean(scores[hp])), hp.c0, hp.gamma), default=grid[0])
     model = classifier.fit(config.method, train, best)
@@ -151,7 +140,18 @@ def tune_and_fit(
 
 def cv_run(data: LabeledMatrix, config: ExperimentConfig) -> dict:
     """Repeated outer CV; returns per-fold reports, per-repeat pooled
-    reports, and a grand summary with pooled-confusion metrics."""
+    reports, and a grand summary with pooled-confusion metrics.
+
+    Every method here is linear and blind to a rotation of feature space
+    and to a common shift of the rows. So at d > n the whole run, every
+    fit and held-out decision, works on the rows' n coordinates Z, Z Z^T
+    the Gram of all rows centred on their mean (dataset.gram_coordinates);
+    at d <= n Z would be wider than the rows. Z reads every row's features,
+    held-out rows included, but no label. In exact arithmetic no result
+    depends on it; in floating point only the rounding does.
+    """
+    if data.d > data.n:
+        data = LabeledMatrix(gram_coordinates(classifier.prepare(data).gram), data.labels)
     samples, labels = data.samples, data.labels
     repeats_out = []
     all_labels, all_decisions = [], []

@@ -1,5 +1,10 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,13 +218,15 @@ class TestEvaluateCount:
     def test_one_evaluate_per_distinct_model(self, monkeypatch, method):
         data = simulate_hdlss(200, 12, 18, seed=1)
         config = ExperimentConfig(method=method, outer_folds=3, inner_folds=3, repeats=1, seed=1)
+        outer = stratified_kfold(data.labels, config.outer_folds, seed=config.seed)
+        smallest_outer_set = min(len(outer.train_indices(f)) for f in range(config.outer_folds))
         inner_fits, evaluations = [], []
         real_fit = classifier.fit
 
         def recording_fit(method, train, hp, **kwargs):
             model = real_fit(method, train, hp, **kwargs)
-            # an inner fold's cell: on coordinates, as d > n, where an outer refit has d columns
-            if isinstance(train, classifier.TrainingSet) and train.data.d != data.d:
+            # an inner fold's cell: fewer rows than any outer training set the refits get
+            if isinstance(train, classifier.TrainingSet) and train.data.n < smallest_outer_set:
                 inner_fits.append((train, model.w.tobytes(), model.b))
             return model
 
@@ -237,7 +244,6 @@ class TestEvaluateCount:
         assert len(scored) == distinct
         assert len(evaluations) == config.outer_folds + config.repeats + 1
 
-        outer = stratified_kfold(data.labels, config.outer_folds, seed=config.seed)
         for f, fold in enumerate(out["repeats"][0]["folds"]):
             idx = outer.train_indices(f)
             train = LabeledMatrix(data.samples[idx], data.labels[idx])
@@ -335,15 +341,8 @@ def cell_by_cell_choice(train, config, fold_seed):
     return best
 
 
-def coordinates(data):
-    """The n coordinates tune_and_fit gives the inner folds of all of data's rows."""
-    return gram_coordinates(classifier.prepare(data).gram)
-
-
 class TestFoldOuterGrid:
-    """The choice is the cell-by-cell search's on the raw rows: at d = n,
-    where the inner folds keep the raw rows, and at d > n, where they run on
-    the outer rows' coordinates."""
+    """The choice is the cell-by-cell search's, at d = n and at d > n."""
 
     def test_matches_cell_outer_search_and_skips_a_cell_failing_on_one_fold(self, monkeypatch):
         for d in (40, 200):
@@ -363,13 +362,9 @@ class TestFoldOuterGrid:
 
         # the winning cell now fails on inner fold 1 only: the fold whose
         # validation rows hold the marked row, so its training set lacks it.
-        # The mark is the row's first entry: of its raw row in the reference
-        # search, and in the grid search of its coordinates when d > n.
+        # The mark is the row's first entry.
         inner = stratified_kfold(data.labels, config.inner_folds, seed=fold_seed)
-        marked = inner.test_indices(1)[0]
-        raw_mark = data.samples[marked, 0]
-        marks = {data.d: raw_mark,
-                 data.n: coordinates(data)[marked, 0] if data.d > data.n else raw_mark}
+        mark = data.samples[inner.test_indices(1)[0], 0]
         name = {"psc": "fit_psc", "cssvm": "fit_cssvm"}[method]
         real_fit = getattr(classifier, name)
         calls = []
@@ -379,7 +374,7 @@ class TestFoldOuterGrid:
             hp = args[0] if args else Hyperparams(c0=kwargs["c0"], r_scale=kwargs["r_scale"])
             cell = (hp.gamma if method == "psc" else config.gamma_grid[0], hp.c0)
             calls.append(cell)
-            if cell == winner and marks[rows.d] not in rows.samples[:, 0]:
+            if cell == winner and mark not in rows.samples[:, 0]:
                 raise FitError("injected failure")
             return real_fit(train, *args, **kwargs)
 
@@ -407,15 +402,42 @@ def offset(data, by):
     return LabeledMatrix(data.samples + by, data.labels)
 
 
+def recorded_run(monkeypatch, data, config):
+    """cv_run's result and the (rows, decisions) of every decision it
+    made, inner and outer, in order."""
+    decided = []
+    real = classifier.decision
+
+    def recording(model, x):
+        decided.append((x, real(model, x)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(classifier, "decision", recording)
+    return cv_run(data, config), decided
+
+
+# one repeat of psc and of cssvm at d > n, printed as JSON
+BLAS_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from psc.crossval import ExperimentConfig, cv_run
+from psc.dataset import simulate_hdlss
+data = simulate_hdlss(2000, 22, 40, 1)
+print(json.dumps([cv_run(data, ExperimentConfig(method=method, repeats=1, seed=1))
+                  for method in ("psc", "cssvm")], sort_keys=True))
+"""
+
+
 class TestCoordinates:
-    """tune_and_fit's inner folds at d > n: the rows' n coordinates Z, with
-    Z Z^T the Gram K of the outer training rows centred on their mean."""
+    """cv_run at d > n: every fit and decision on the rows' n coordinates
+    Z, with Z Z^T the Gram K of all rows centred on their mean."""
 
     @pytest.mark.parametrize("d", [39, 40, 41, 200])
     def test_inner_fits_get_n_columns_only_when_d_exceeds_n(self, monkeypatch, d):
+        # and so do the refits and the held-out rows of every decision
         data = simulate_hdlss(d, 16, 24, seed=9)  # n = 40
-        inner = stratified_kfold(data.labels, 4, seed=17)
-        rows = coordinates(data) if d > data.n else data.samples
+        config = small_config(inner_folds=4, repeats=1)
+        rows = gram_coordinates(classifier.prepare(data).gram) if d > data.n else data.samples
         real_fit = classifier.fit
         given = []
 
@@ -424,15 +446,26 @@ class TestCoordinates:
             return real_fit(method, train, hp)
 
         monkeypatch.setattr(classifier, "fit", recording_fit)
-        tune_and_fit(data.samples, data.labels, np.arange(data.n),
-                     small_config(inner_folds=4), fold_seed=17)
-        *inner_sets, refit = given
-        assert len(inner_sets) == 4 * 4
-        for k, got in enumerate(inner_sets):
-            tr = inner.train_indices(k // 4)
-            assert got.samples.tobytes() == rows[tr].tobytes()
-            assert np.array_equal(got.labels, data.labels[tr])
-        assert refit.samples.tobytes() == data.samples.tobytes()
+        _, decided = recorded_run(monkeypatch, data, config)
+
+        outer = stratified_kfold(data.labels, config.outer_folds, seed=config.seed)
+        fit_rows, decision_rows = [], []
+        for f in range(config.outer_folds):
+            train_idx = outer.train_indices(f)
+            inner = stratified_kfold(data.labels[train_idx], config.inner_folds,
+                                     seed=config.seed + 100_003 + f)
+            for k in range(config.inner_folds):
+                fit_rows += [train_idx[inner.train_indices(k)]] * 4  # one per grid cell
+                decision_rows.append(train_idx[inner.test_indices(k)])
+            fit_rows.append(train_idx)  # the refit
+            decision_rows.append(outer.test_indices(f))
+        assert len(given) == len(fit_rows) == 2 * (4 * 4 + 1)
+        for got, idx in zip(given, fit_rows):
+            assert got.samples.tobytes() == rows[idx].tobytes()
+            assert np.array_equal(got.labels, data.labels[idx])
+        # an inner fold decides once per distinct model, each time on its validation rows
+        runs = [key for key, _ in itertools.groupby(x.tobytes() for x, _ in decided)]
+        assert runs == [rows[idx].tobytes() for idx in decision_rows]
 
     @pytest.mark.parametrize("by", [0.0, 1e4])
     @pytest.mark.parametrize("shape", [(2000, 22, 40), (12533, 6, 10), (41, 16, 24)])
@@ -447,22 +480,37 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("method", ["psc", "cssvm"])
     @pytest.mark.parametrize("by, bound", [(0.0, 1e-12), (1e4, 1e-9)])
-    def test_validation_decisions_match_the_raw_rows(self, method, by, bound):
-        # over 10 seeds x 4 folds the worst reads 1.3e-14 for psc and 9e-15
-        # for cssvm, and 4.4e-11 and 3.6e-11 with the offset
+    def test_validation_decisions_match_the_raw_rows(self, monkeypatch, method, by, bound):
+        # the run on Z against the same run on the d features, every inner
+        # and outer decision in order: over the 10 seeds (1050 decisions for
+        # psc, 250 for cssvm) the worst reads 1.6e-14 for psc and 1.0e-14
+        # for cssvm, and 5.3e-11 and 4.0e-11 with the offset
         for seed in range(10):
             data = offset(simulate_hdlss(2000, 22, 40, seed), by)
-            Z = coordinates(data)
-            inner = stratified_kfold(data.labels, 4, seed=seed)
-            for f in range(4):
-                tr, va = inner.train_indices(f), inner.test_indices(f)
-                for hp in (Hyperparams(gamma=0.1, c0=0.5), Hyperparams(gamma=0.9, c0=2.0)):
-                    raw = classifier.fit(method, LabeledMatrix(data.samples[tr], data.labels[tr]), hp)
-                    moved = classifier.fit(method, LabeledMatrix(Z[tr], data.labels[tr]), hp)
-                    want = classifier.decision(raw, data.samples[va])
-                    got = classifier.decision(moved, Z[va])
-                    assert np.abs(got - want).max() <= bound * np.abs(want).max()
-                    assert np.array_equal(got >= 0.0, want >= 0.0)
+            config = ExperimentConfig(method=method, repeats=1, seed=seed)
+            with monkeypatch.context() as patch:
+                rotated, got_all = recorded_run(patch, data, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(crossval, "gram_coordinates", lambda gram: data.samples)
+                raw, want_all = recorded_run(patch, data, config)
+            for got, want in zip(rotated["repeats"][0]["folds"], raw["repeats"][0]["folds"], strict=True):
+                assert (got["gamma"], got["c0"]) == (want["gamma"], want["c0"])
+                assert got["report"]["confusion"] == want["report"]["confusion"]
+            assert len(got_all) == len(want_all)
+            for (_, got), (_, want) in zip(got_all, want_all):
+                assert np.abs(got - want).max() <= bound * np.abs(want).max()
+                assert np.array_equal(got >= 0.0, want >= 0.0)
+
+    def test_a_run_is_the_same_bytes_at_one_and_two_blas_threads(self):
+        src = Path(crossval.__file__).resolve().parent.parent
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", BLAS_RUN, str(src)],
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                                  capture_output=True, text=True, check=True, timeout=300)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert '"method": "cssvm"' in outputs[0]
 
     @pytest.mark.parametrize("row", [np.arange(1.0, 61.0),
                                      np.random.default_rng(7).standard_normal(60)])
@@ -475,7 +523,7 @@ class TestCoordinates:
         fits = []
 
         def recording_fit(train, hp):
-            fits.append(train.data.d)
+            fits.append(train.data.samples.shape)
             try:
                 real_fit(train, hp)
             except FitError as exc:
@@ -487,4 +535,6 @@ class TestCoordinates:
         with pytest.raises(FitError, match="repeat 0: every outer fold failed; "
                                            "fold 0: degenerate data"):
             cv_run(data, small_config(repeats=1))
-        assert fits.count(data.n // 2) == 2 * 4  # each outer fold's first inner fold, every cell
+        assert {width for _, width in fits} == {data.n}  # every fit on the coordinates
+        # each outer fold's first inner fold, every cell, then each outer fold's refit
+        assert [rows < data.n // 2 for rows, _ in fits] == ([True] * 4 + [False]) * 2
