@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import intercept, qp, smw
-from .dataset import ClassStats, LabeledMatrix, _freeze, centred_gram, class_stats
+from .dataset import ClassStats, LabeledMatrix, _freeze, centred_gram, class_stats, write_json
 from .intercept import Projections, choose_intercept
 from .smw import PopulationFactor, build_factor
 
@@ -204,7 +204,6 @@ def fit_cssvm(
         sol, w, proj = hit
     else:
         G = y[:, None] * train.gram * y[None, :]
-        G = (G + G.T) / 2.0
         sol = _solve_dual(G, y, caps)
         w = _freeze(data.samples.T @ (y * sol.alpha))  # shared by the memo and its models
         proj = data.samples @ w
@@ -300,9 +299,7 @@ def model_to_dict(model: LinearModel) -> dict:
 
 
 def save_model(model: LinearModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> LinearModel:

@@ -26,12 +26,6 @@ def _load(path: str, label_column: str, positive: str) -> LabeledMatrix:
     return dataset.load_csv(path, label_column, positive_labels)
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def cmd_simulate(args) -> int:
     if args.fig1:
         data = dataset.simulate_fig1(args.n_pos, args.n_neg, args.seed)
@@ -56,14 +50,10 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = classifier.load_model(args.model)
     data = _load(args.data, args.label_column, args.positive)
-    decisions = classifier.decision(model, data.samples)
-    predictions = np.where(decisions >= 0.0, 1, -1)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "decision", "prediction"])
-        for i, (dec, pred) in enumerate(zip(decisions, predictions)):
-            writer.writerow([i, format(dec, ".17g"), int(pred)])
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    decisions = classifier.decision(model, data.samples).tolist()
+    dataset.write_rows(args.out, ["id", "decision", "prediction"],
+                       ([i, dec, 1 if dec >= 0.0 else -1] for i, dec in enumerate(decisions)))
+    print(f"wrote {len(decisions)} predictions to {args.out}")
     return 0
 
 
@@ -85,9 +75,9 @@ def cmd_evaluate(args) -> int:
         decisions = np.array(decisions)
     truth = _load(args.truth, args.label_column, args.positive)
     report = metrics.evaluate(truth.labels, decisions)
-    _write_json(dataclasses.asdict(report), args.out)
-    if args.roc_out and report.roc is not None:
-        metrics.save_roc_csv(report, args.roc_out)
+    dataset.write_json(dataclasses.asdict(report), args.out)
+    if args.roc_out:  # load_csv refuses a one-class truth file, so report.roc is set
+        dataset.write_rows(args.roc_out, ["fpr", "tpr"], report.roc)
     print(f"bccr={report.bccr:.6f} total_ccr={report.total_ccr:.6f} auc={report.auc}")
     return 0
 
@@ -116,9 +106,9 @@ def cmd_cv(args) -> int:
     result = crossval.cv_run(data, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(result["summary"], out_dir / "summary.json")
+    dataset.write_json(result["summary"], out_dir / "summary.json")
     for rep in result["repeats"]:
-        _write_json(rep, out_dir / f"repeat_{rep['repeat']:03d}.json")
+        dataset.write_json(rep, out_dir / f"repeat_{rep['repeat']:03d}.json")
     pooled = result["summary"]["pooled"]
     print(f"cv done: pooled bccr={pooled['bccr']:.6f} total_ccr={pooled['total_ccr']:.6f}")
     unconverged = sum(not fold.get("converged", True)
@@ -140,16 +130,10 @@ def cmd_demo_fig1(args) -> int:
     for tag, n_pos, n_neg in FIG1_CONFIGS:
         data = dataset.simulate_fig1(n_pos, n_neg, args.seed + ord(tag))
         dataset.write_csv(data, out_dir / f"fig1_{tag}_samples.csv")
-        rows = []
         models = {m: classifier.fit(m, data, hp) for m in classifier.METHODS}
         models["bayes"] = bayes
-        for name, model in models.items():
-            rows.append([name, format(model.w[0], ".17g"), format(model.w[1], ".17g"),
-                         format(model.b, ".17g")])
-        with open(out_dir / f"fig1_{tag}_boundaries.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "w0", "w1", "b"])
-            writer.writerows(rows)
+        dataset.write_rows(out_dir / f"fig1_{tag}_boundaries.csv", ["method", "w0", "w1", "b"],
+                           ([name, *model.w, model.b] for name, model in models.items()))
     print(f"wrote sample sets and fitted boundaries to {out_dir}")
     return 0
 

@@ -1,4 +1,6 @@
-"""Data ingestion, stratified fold planning, and seeded Gaussian simulators.
+"""Data ingestion, stratified fold planning, seeded Gaussian simulators, and
+every file psc writes: JSON by write_json, CSV by write_csv or write_rows,
+so one place holds their layout and 17-digit float text.
 
 All randomness goes through a PCG64 generator seeded explicitly; Gaussian
 variates are produced by the Box-Muller transform of uniform pairs. The same
@@ -10,6 +12,7 @@ the last bit differently.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -318,6 +321,24 @@ def write_csv(data: LabeledMatrix, path, label_column: str = "label") -> None:
         csv.writer(fh).writerow(list(names) + [label_column])
         for row, label in zip(data.samples, data.labels.tolist()):
             fh.write(row_format % (*row.tolist(), label))
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV in write_csv's dialect: csv.writer's CRLF rows in UTF-8, and a
+    float cell as format(v, ".17g"), which float() reads back to the same
+    bits. Other cells are written as csv.writer writes them."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_json(doc, path) -> None:
+    """doc as JSON with sorted keys and a two-space indent, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def stratified_kfold(labels, k: int, seed: int) -> FoldPlan:

@@ -3,7 +3,6 @@ disparity-penalized balanced rate (BCCR), ROC curve and AUC."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -156,13 +155,3 @@ def evaluate(labels, decisions) -> EvalReport:
         roc=None,
         auc=None,
     )
-
-
-def save_roc_csv(report: EvalReport, path) -> None:
-    if report.roc is None:
-        raise MetricsError("report carries no ROC points")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in report.roc:
-            writer.writerow([format(fpr, ".17g"), format(tpr, ".17g")])

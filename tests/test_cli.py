@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -230,6 +231,68 @@ class TestDemoFig1:
             assert lines[0] == "method,w0,w1,b"
             methods = {line.split(",")[0] for line in lines[1:]}
             assert methods == {"psc", "cssvm", "rmdd", "bayes"}
+
+
+def records(path) -> list[list[str]]:
+    """The cells of a file whose every line, the last too, ends in CRLF."""
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    return [line.split(",") for line in text.split("\r\n")[:-1]]
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestArtifactText:
+    """The text of each file psc writes, not only its equality across reruns,
+    so that a change of format fails here. The model is made by hand, so its
+    decisions on the three rows below do not depend on a fit."""
+
+    MODEL = classifier.LinearModel(w=np.array([0.1, 1 / 3]), b=-0.25, method_tag="psc")
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        data.write_text("x0,x1,label\n3,0,1\n0,3,1\n1,0,-1\n")
+        classifier.save_model(self.MODEL, model)
+        paths = {name: tmp_path / name for name in ("preds.csv", "report.json", "roc.csv")}
+        assert run("predict", "--model", model, "--data", data, "--out", paths["preds.csv"]) == 0
+        assert run("evaluate", "--pred", paths["preds.csv"], "--truth", data,
+                   "--out", paths["report.json"], "--roc-out", paths["roc.csv"]) == 0
+        return load_csv(data, "label", {"1"}), model, paths
+
+    def test_model_and_report_json(self, files):
+        data, model, paths = files
+        assert model.read_text(encoding="utf-8") == json_text(classifier.model_to_dict(self.MODEL))
+        report = metrics.evaluate(data.labels, classifier.decision(self.MODEL, data.samples))
+        assert paths["report.json"].read_text(encoding="utf-8") == json_text(
+            dataclasses.asdict(report))
+
+    def test_predictions_read_back_to_the_decision_bits(self, files):
+        data, _, paths = files
+        rows = records(paths["preds.csv"])
+        assert rows[0] == ["id", "decision", "prediction"]
+        want = classifier.decision(self.MODEL, data.samples)
+        got = np.array([float(row[1]) for row in rows[1:]])
+        assert got.tobytes() == want.tobytes()
+        for i, (row, dec) in enumerate(zip(rows[1:], want)):
+            assert row == [str(i), format(dec, ".17g"), "1" if dec >= 0.0 else "-1"]
+
+    def test_roc(self, files):
+        assert records(files[2]["roc.csv"]) == [
+            ["fpr", "tpr"], ["0", "0"], ["0", "0.5"], ["0", "1"], ["1", "1"]]
+
+    def test_fig1_boundaries(self, tmp_path):
+        assert run("demo-fig1", "--seed", 2, "--out-dir", tmp_path) == 0
+        bayes = classifier.bayes_oracle(dataset.FIG1_MU, -dataset.FIG1_MU, dataset.FIG1_SIGMA)
+        for tag in "abcd":
+            rows = records(tmp_path / f"fig1_{tag}_boundaries.csv")
+            assert rows[0] == ["method", "w0", "w1", "b"]
+            assert [row[0] for row in rows[1:]] == ["psc", "cssvm", "rmdd", "bayes"]
+            for row in rows[1:]:
+                assert [format(float(cell), ".17g") for cell in row[1:]] == row[1:]
+            assert rows[4][1:] == [format(v, ".17g") for v in (*bayes.w, bayes.b)]
 
 
 class TestErrorsAndDeterminism:

@@ -478,6 +478,20 @@ class TestCoordinates:
         norms = np.linalg.norm(Z, axis=0)
         assert (norms[:-1] >= norms[1:]).all()  # largest eigenvalue first
 
+    @pytest.mark.parametrize("by", [0.0, 1e4])
+    @pytest.mark.parametrize("shape", [(12533, 6, 10), (41, 16, 24)])
+    def test_the_gram_and_the_cssvm_dual_are_exactly_symmetric(self, shape, by):
+        # fit_cssvm solves y o K o y as it stands, with no symmetrisation: a
+        # Gram that is symmetric only up to rounding would move its bits
+        data = offset(simulate_hdlss(*shape, seed=shape[0]), by)
+        K = classifier.prepare(data).gram
+        coordinates = LabeledMatrix(gram_coordinates(K), data.labels)
+        for train in (data, coordinates):
+            K = classifier.prepare(train).gram
+            y = train.labels.astype(np.float64)
+            dual = y[:, None] * K * y[None, :]
+            assert np.array_equal(K, K.T) and np.array_equal(dual, dual.T)
+
     @pytest.mark.parametrize("method", ["psc", "cssvm"])
     @pytest.mark.parametrize("by, bound", [(0.0, 1e-12), (1e4, 1e-9)])
     def test_validation_decisions_match_the_raw_rows(self, monkeypatch, method, by, bound):

@@ -14,7 +14,6 @@ from psc.metrics import (
     mwe,
     report_from_confusion,
     roc_curve,
-    save_roc_csv,
 )
 from tests.table_fixtures import TABLE_ROWS
 
@@ -175,12 +174,6 @@ class TestEvaluate:
     def test_report_from_confusion_needs_both_classes(self):
         with pytest.raises(MetricsError, match="both classes"):
             report_from_confusion(ConfusionMatrix(tp=3, fn=1, fp=0, tn=0))
-
-    def test_no_roc_csv_without_roc_points(self, tmp_path):
-        report = report_from_confusion(ConfusionMatrix(tp=3, fn=1, fp=2, tn=4))
-        with pytest.raises(MetricsError, match="no ROC"):
-            save_roc_csv(report, tmp_path / "roc.csv")
-        assert not (tmp_path / "roc.csv").exists()
 
 
 class TestConfusionCounts:

@@ -69,12 +69,33 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+IMPORT_GRAPH = {
+    "__init__": {"classifier", "crossval", "dataset", "intercept", "metrics", "qp", "smw"},
+    "classifier": {"dataset", "intercept", "qp", "smw"},
+    "cli": {"classifier", "crossval", "dataset", "metrics"},
+    "crossval": {"classifier", "dataset", "metrics"},
+    "dataset": set(),
+    "intercept": set(),
+    "metrics": set(),
+    "qp": set(),
+    "smw": {"dataset"},
+}
+
+
 def test_import_layering():
-    # one module owns the population factor and its inverse, and crossval
-    # reaches the fit's layers only through classifier
+    # one module owns the population factor and its inverse, crossval
+    # reaches the fit's layers only through classifier, and metrics is
+    # arithmetic on labels and decisions that knows no other module
     modules = sorted(p.stem for p in PACKAGE.glob("*.py"))
-    assert "smw" in modules and "scatter" not in modules
+    assert modules == sorted(IMPORT_GRAPH)
     for module in modules:
-        assert "scatter" not in package_imports(module), module
-    assert package_imports("crossval") == {"classifier", "dataset", "metrics"}
-    assert package_imports("smw") == {"dataset"}
+        assert package_imports(module) == IMPORT_GRAPH[module], module
+
+
+def test_every_artifact_format_is_written_in_dataset():
+    # one module knows the JSON layout and the 17-digit float text of the
+    # files psc writes, so a second writer cannot drift from it
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for mark in ("json.dump", ".17g"):
+            assert (mark in text) == (path.stem == "dataset"), (path.name, mark)
