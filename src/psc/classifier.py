@@ -162,7 +162,7 @@ def fit_psc(data: LabeledMatrix | TrainingSet, hp: Hyperparams) -> LinearModel:
     G = smw.gram(op, data)
     y = data.labels.astype(np.float64)
     sol = _solve_dual(G, y, hp.c0 * _class_weights(y, stats.n1, stats.n2))
-    w = smw.apply_inverse(op, data.samples.T @ (data.labels * sol.alpha))
+    w = _freeze(smw.apply_inverse(op, data.samples.T @ (data.labels * sol.alpha)))  # kept, not copied
     b = _intercept(data.samples @ w, data.labels, hp.r_scale)
     model = LinearModel(
         w=w,

@@ -60,18 +60,21 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     with open(args.pred, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        if "decision" not in (reader.fieldnames or ()):
-            raise metrics.MetricsError(f"{args.pred}: no 'decision' column in the header")
-        decisions = []
-        for row in reader:
-            cell = row["decision"]
-            if cell is None:  # the row ends before the decision column
-                raise metrics.MetricsError(f"{args.pred}: row {reader.line_num} has no decision")
-            try:
-                decisions.append(float(cell))
-            except ValueError:
-                raise metrics.MetricsError(
-                    f"{args.pred}: row {reader.line_num}: cannot parse decision {cell!r}") from None
+        try:
+            if "decision" not in (reader.fieldnames or ()):
+                raise metrics.MetricsError(f"{args.pred}: no 'decision' column in the header")
+            decisions = []
+            for row in reader:
+                cell = row["decision"]
+                if cell is None:  # the row ends before the decision column
+                    raise metrics.MetricsError(f"{args.pred}: row {reader.line_num} has no decision")
+                try:
+                    decisions.append(float(cell))
+                except ValueError:
+                    raise metrics.MetricsError(
+                        f"{args.pred}: row {reader.line_num}: cannot parse decision {cell!r}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over the field limit
+            raise metrics.MetricsError(f"{args.pred}: {exc}") from None
         decisions = np.array(decisions)
     truth = _load(args.truth, args.label_column, args.positive)
     report = metrics.evaluate(truth.labels, decisions)

@@ -29,6 +29,8 @@ def _is_a(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one cv_run; once they are checked, grid holds the cells a search tries."""
+
     method: str = "psc"
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     c0_grid: tuple[float, ...] = DEFAULT_C0_GRID
@@ -61,25 +63,17 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         try:  # every grid value, so that no cell fails for its settings alone
-            for gamma in self.gamma_grid:
-                for c0 in self.c0_grid:
-                    self.hyperparams(gamma, c0)
+            rows = [[Hyperparams(gamma=gamma, c0=c0, r_scale=self.r_scale) for c0 in self.c0_grid]
+                    for gamma in self.gamma_grid]
         except classifier.FitError as exc:
             raise ConfigError(str(exc)) from None
-
-    def hyperparams(self, gamma: float, c0: float) -> Hyperparams:
-        return Hyperparams(gamma=gamma, c0=c0, r_scale=self.r_scale)
-
-
-def _candidate_grid(config: ExperimentConfig) -> list[Hyperparams]:
-    # rmdd has no tunables; cssvm ignores gamma. c0 ascends, so that each
-    # (training set, gamma) solves first at the c0 whose solve the larger
-    # ones can reuse (classifier.TrainingSet), however the config lists it.
-    gammas = config.gamma_grid if config.method == "psc" else config.gamma_grid[:1]
-    c0s = sorted(config.c0_grid)
-    if config.method == "rmdd":
-        c0s = c0s[:1]
-    return [config.hyperparams(g, c0) for g in gammas for c0 in c0s]
+        # rmdd has no tunables; cssvm ignores gamma. c0 ascends, so that each
+        # (training set, gamma) solves first at the c0 whose solve the larger
+        # ones can reuse (classifier.TrainingSet), however the config lists it.
+        grid = tuple(hp for row in (rows if self.method == "psc" else rows[:1])
+                     for hp in sorted(row, key=lambda hp: hp.c0))
+        # not a field, so not an argument, a config-file key, or part of ==, hash or repr
+        object.__setattr__(self, "grid", grid[:1] if self.method == "rmdd" else grid)
 
 
 def _validation_score(labels: np.ndarray, decisions: np.ndarray, metric: str) -> float:
@@ -125,7 +119,7 @@ def tune_and_fit(
     gives the samples. A cell that fails on any inner fold is skipped.
     """
     train = classifier.prepare(LabeledMatrix(samples[train_idx], labels[train_idx]))
-    grid = _candidate_grid(config)
+    grid = config.grid
     scores = {}
     if len(grid) > 1:
         inner = stratified_kfold(train.data.labels, config.inner_folds, seed=fold_seed)

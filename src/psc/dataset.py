@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,10 +88,10 @@ class ClassStats:
     n1: int
     n2: int
 
-    @property
+    @cached_property
     def mean(self) -> np.ndarray:
-        """The mean of all rows, r = (n1 u1 + n2 u2) / n."""
-        return (self.n1 * self.u1 + self.n2 * self.u2) / (self.n1 + self.n2)
+        """The mean of all rows, r = (n1 u1 + n2 u2) / n; read-only, as every read shares it."""
+        return _freeze((self.n1 * self.u1 + self.n2 * self.u2) / (self.n1 + self.n2))
 
 
 @dataclass(frozen=True)

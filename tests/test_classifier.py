@@ -20,7 +20,7 @@ from psc.classifier import (
     prepare,
     save_model,
 )
-from psc.crossval import DEFAULT_C0_GRID, DEFAULT_GAMMA_GRID, ExperimentConfig, _candidate_grid
+from psc.crossval import DEFAULT_C0_GRID, DEFAULT_GAMMA_GRID, ExperimentConfig
 from psc.dataset import FIG1_MU, FIG1_SIGMA, LabeledMatrix, simulate_hdlss
 from psc.intercept import Projections, choose_intercept
 
@@ -176,7 +176,7 @@ class TestCPathReuse:
     def test_every_default_grid_cell_matches_a_fresh_fit(self, monkeypatch, method, shape,
                                                          solves_per_path):
         data = simulate_hdlss(*shape)
-        cells = _candidate_grid(ExperimentConfig(method=method))  # c0 ascending per gamma
+        cells = ExperimentConfig(method=method).grid  # c0 ascending per gamma
         solves = count_solves(monkeypatch)
         train = prepare(data)
         shared = {hp: classifier.fit(method, train, hp) for hp in cells}
@@ -318,6 +318,15 @@ class TestReadOnlyModel:
         assert model.w is w
         assert replace(model, c0=2.0).w is w
         assert replace(replace(model, c0=2.0), b=1.0).w is w
+
+    def test_psc_keeps_the_array_apply_inverse_returns(self, monkeypatch):
+        returned = []
+        real = classifier.smw.apply_inverse
+        monkeypatch.setattr(classifier.smw, "apply_inverse",
+                            lambda op, v: returned.append(real(op, v)) or returned[-1])
+        model = fit_psc(simulate_hdlss(30, 12, 6, seed=4), HP)
+        assert len(returned) == 1
+        assert np.shares_memory(model.w, returned[0])
 
     @pytest.mark.parametrize("w, message", [
         ([1.0, np.nan], "non-finite"),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -358,6 +359,7 @@ class TestErrorsAndDeterminism:
         ({"tol": float("nan")}, "unknown config keys: tol"),
         ({"max_iter": 0}, "unknown config keys: max_iter"),
         ({"c0_grid": [float("nan")]}, "c0 and r_scale must be positive, got nan"),
+        ({"grid": [[0.5, 1.0]]}, "unknown config keys: grid"),  # built from the grids, not set
     ])
     def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, doc, message):
         rc, out_dir = cv_with_config(tmp_path, "cv", doc)
@@ -566,12 +568,66 @@ class TestModelAndPredictionFiles:
         ("", "no 'decision' column in the header"),
         ("id,decision,prediction\n0\n", "row 2 has no decision"),
         ("id,decision,prediction\n0,0.5,1\n1,high,1\n", "row 3: cannot parse decision 'high'"),
+        pytest.param(b"id,decision\n0,\xff\n", "'utf-8' codec can't decode byte 0xff",
+                     id="not-utf8"),
+        pytest.param(b"id,decision\n0," + b"5" * (csv.field_size_limit() + 1) + b"\n",
+                     "field larger than field limit", id="over-field-limit"),
     ])
     def test_evaluate_rejects_a_malformed_predictions_file(self, tmp_path, capsys, saved,
                                                            text, message):
         data, _ = saved
         preds = tmp_path / "preds.csv"
-        preds.write_text(text)
+        preds.write_bytes(text if isinstance(text, bytes) else text.encode())
         rc = run("evaluate", "--pred", preds, "--truth", data, "--out", tmp_path / "r.json")
         assert rc == 1
         assert f"error: {preds}: {message}" in capsys.readouterr().err
+
+
+BAD_FILES = {
+    "not-utf8": b"id,decision,label,f0\n0,0.5,1,\xff\n",
+    "over-field-limit": b"id,decision,label,f0\n0,0.5,1," + b"5" * (csv.field_size_limit() + 1)
+                        + b"\n",
+}
+# every file a command reads, with each fault it can meet: a JSON file has no field limit
+BAD_INPUTS = [(command, flag, fault)
+              for command, flag, is_csv in (("fit", "--train", True), ("predict", "--model", False),
+                                            ("predict", "--data", True), ("evaluate", "--pred", True),
+                                            ("evaluate", "--truth", True), ("cv", "--data", True),
+                                            ("cv", "--config", False))
+              for fault in BAD_FILES if is_csv or fault == "not-utf8"]
+
+
+class TestNoBadInputFileEndsInATraceback:
+    @pytest.fixture()
+    def good(self, tmp_path):
+        files = {name: tmp_path / name for name in ("data.csv", "model.json", "preds.csv",
+                                                    "config.json")}
+        assert run("simulate", "--d", 4, "--n-pos", 6, "--n-neg", 4, "--seed", 1,
+                   "--out", files["data.csv"]) == 0
+        assert run("fit", "--train", files["data.csv"], "--out", files["model.json"]) == 0
+        assert run("predict", "--model", files["model.json"], "--data", files["data.csv"],
+                   "--out", files["preds.csv"]) == 0
+        files["config.json"].write_text(json.dumps({"repeats": 1, "outer_folds": 2,
+                                                    "inner_folds": 2}))
+        return files
+
+    @pytest.mark.parametrize("command, flag, fault", BAD_INPUTS,
+                             ids=[f"{c}{f}-{fault}" for c, f, fault in BAD_INPUTS])
+    def test_a_bad_file_exits_1_with_one_error_line_naming_it(self, tmp_path, capsys, good,
+                                                              command, flag, fault):
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["--train", good["data.csv"], "--out", out],
+            "predict": ["--model", good["model.json"], "--data", good["data.csv"], "--out", out],
+            "evaluate": ["--pred", good["preds.csv"], "--truth", good["data.csv"], "--out", out],
+            "cv": ["--data", good["data.csv"], "--config", good["config.json"], "--out-dir", out],
+        }[command]
+        bad = tmp_path / "bad"
+        bad.write_bytes(BAD_FILES[fault])
+        argv[argv.index(flag) + 1] = bad
+        capsys.readouterr()
+        assert run(command, *argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), captured.err
+        assert not out.exists()

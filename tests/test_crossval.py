@@ -80,6 +80,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="positive"):
             ExperimentConfig(method="cssvm", c0_grid=(1.0, 0.0))
 
+    @pytest.mark.parametrize("method", classifier.METHODS)
+    @pytest.mark.parametrize("grids, message", [
+        ({"gamma_grid": (0.5, 1.5)}, "gamma must be in"),
+        ({"c0_grid": (1.0, -2.0)}, "positive"),
+    ])
+    def test_every_grid_value_is_checked_for_every_method(self, method, grids, message):
+        # cssvm and rmdd search only part of the grid, but every value is checked
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(method=method, **grids)
+
+    @pytest.mark.parametrize("method, cells", [
+        ("psc", [(g, c0) for g in (0.7, 0.3) for c0 in (0.5, 2.0, 8.0)]),
+        ("cssvm", [(0.7, 0.5), (0.7, 2.0), (0.7, 8.0)]),
+        ("rmdd", [(0.7, 0.5)]),
+    ])
+    def test_grid_is_the_search_order(self, method, cells):
+        cfg = ExperimentConfig(method=method, gamma_grid=(0.7, 0.3), c0_grid=(2.0, 8.0, 0.5),
+                               r_scale=3.0)
+        assert type(cfg.grid) is tuple
+        assert [(hp.gamma, hp.c0) for hp in cfg.grid] == cells
+        assert {hp.r_scale for hp in cfg.grid} == {3.0}
+
+    def test_grid_is_not_a_field(self):
+        cfg = ExperimentConfig(method="cssvm", c0_grid=(2.0, 0.5))
+        assert "grid" not in {f.name for f in fields(ExperimentConfig)}
+        assert repr(cfg) == "ExperimentConfig(%s)" % ", ".join(
+            f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))
+        same = ExperimentConfig(method="cssvm", c0_grid=(2.0, 0.5))
+        assert cfg == same and hash(cfg) == hash(same) and repr(cfg) == repr(same)
+        assert cfg != replace(cfg, c0_grid=(0.5, 2.0))
+        assert replace(cfg, method="psc").grid == ExperimentConfig(c0_grid=(2.0, 0.5)).grid
+        with pytest.raises(TypeError):
+            ExperimentConfig(grid=cfg.grid)
+
     def test_rejects_r_scale_hyperparams_rejects(self):
         with pytest.raises(ConfigError, match="positive"):
             ExperimentConfig(method="rmdd", r_scale=-1.0)
@@ -263,7 +297,7 @@ class TestEvaluateCount:
         monkeypatch.setattr(classifier, "fit",
                             lambda method, train, hp: replace(base, b=b_by_c0[hp.c0]))
         scored = counting_scorer(monkeypatch)
-        scores = {hp: [] for hp in crossval._candidate_grid(config)}
+        scores = {hp: [] for hp in config.grid}
         crossval._score_inner_fold(data, tr, va, scores, config)
         assert len(scored) == 3
         for hp, got in scores.items():
@@ -297,6 +331,21 @@ class TestTuneAndFit:
                                           small_config(), fold_seed=99)
         assert np.isfinite(model.w).all() and np.isfinite(model.b)
         assert gamma in (0.3, 0.7) and c0 in (0.5, 2.0)
+
+    @pytest.mark.parametrize("method", ["psc", "cssvm"])
+    def test_searches_the_checked_cells_in_grid_order(self, monkeypatch, method):
+        config = small_config(method=method, c0_grid=(2.0, 0.5))
+        tried = []
+        real = classifier.fit
+        monkeypatch.setattr(classifier, "fit",
+                            lambda method, train, hp: tried.append(hp) or real(method, train, hp))
+        data = simulate_hdlss(15, 10, 6, seed=7)
+        tune_and_fit(data.samples, data.labels, np.arange(data.n), config, fold_seed=99)
+        cells = len(config.grid)
+        assert len(tried) == config.inner_folds * cells + 1
+        for f in range(config.inner_folds):
+            assert all(a is b for a, b in zip(tried[f * cells:(f + 1) * cells], config.grid))
+        assert any(tried[-1] is hp for hp in config.grid)
 
     def test_tie_break_prefers_smaller_c0(self):
         # perfectly separable data scores 1.0 everywhere -> smallest c0 wins

@@ -382,6 +382,13 @@ class TestClassStats:
         assert got.u1.tobytes() == ref.u1.tobytes()
         assert got.u2.tobytes() == ref.u2.tobytes()
 
+    @pytest.mark.parametrize("data", MEAN_CASES)
+    def test_the_mean_is_formed_once_with_its_formula_bits(self, data):
+        s = class_stats(data)
+        assert s.mean is s.mean and not s.mean.flags.writeable
+        want = (s.n1 * s.u1 + s.n2 * s.u2) / (s.n1 + s.n2)
+        assert s.mean.tobytes() == want.tobytes()
+
 
 class TestStratifiedKfold:
     def test_alon_fold_sizes(self):
