@@ -50,6 +50,8 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = classifier.load_model(args.model)
     data = _load(args.data, args.label_column, args.positive)
+    if data.d != model.d:
+        raise classifier.FitError(f"{args.data}: {data.d} features, but {args.model} takes {model.d}")
     decisions = classifier.decision(model, data.samples).tolist()
     dataset.write_rows(args.out, ["id", "decision", "prediction"],
                        ([i, dec, 1 if dec >= 0.0 else -1] for i, dec in enumerate(decisions)))
@@ -77,6 +79,9 @@ def cmd_evaluate(args) -> int:
             raise metrics.MetricsError(f"{args.pred}: {exc}") from None
         decisions = np.array(decisions)
     truth = _load(args.truth, args.label_column, args.positive)
+    if decisions.size != truth.n:
+        raise metrics.MetricsError(f"{args.pred}: {decisions.size} predictions, but {args.truth} "
+                                   f"has {truth.n} rows")
     report = metrics.evaluate(truth.labels, decisions)
     dataset.write_json(dataclasses.asdict(report), args.out)
     if args.roc_out:  # load_csv refuses a one-class truth file, so report.roc is set
@@ -93,12 +98,12 @@ def cmd_cv(args) -> int:
                 config_doc = json.load(fh)
             except ValueError as exc:  # a JSON syntax or a UTF-8 decoding error
                 raise crossval.ConfigError(f"{args.config}: not a JSON file: {exc}") from None
-    if not isinstance(config_doc, dict):
-        raise crossval.ConfigError("a config file holds one JSON object")
+        if not isinstance(config_doc, dict):
+            raise crossval.ConfigError(f"{args.config}: a config file holds one JSON object")
     fields = ExperimentConfig.__dataclass_fields__
     unknown = sorted(set(config_doc) - set(fields))
     if unknown:
-        raise crossval.ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise crossval.ConfigError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     grids = ("gamma_grid", "c0_grid")
     # flags win over config-file fields
     for key, value in vars(args).items():

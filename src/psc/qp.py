@@ -67,17 +67,10 @@ class BoxQP:
 @dataclass(frozen=True)
 class DualSolution:
     alpha: np.ndarray
-    objective: float
     kkt_residual: float
     iterations: int
     converged: bool
-    # whether a cap could have shaped the solve (see solve_smo); a solution
-    # that does not say is taken to be capped
-    upper_active: bool = True
-
-
-def objective(problem: BoxQP, alpha: np.ndarray) -> float:
-    return float(-0.5 * alpha @ problem.G @ alpha + alpha.sum())
+    upper_active: bool  # whether a cap could have shaped the solve (see solve_smo)
 
 
 def solve_smo(
@@ -168,7 +161,6 @@ def solve_smo(
     gap = max(gap, 0.0)
     return DualSolution(
         alpha=alpha,
-        objective=objective(problem, alpha),
         kkt_residual=gap,
         iterations=it,
         converged=gap <= tol,

@@ -1,8 +1,8 @@
 """Dense and exhaustive reference implementations the tests check the
-library against: the KKT gap of a dual point, a grid search over tiny box
-QPs, the SMO loop that qp.solve_smo must match within stated bounds, the
-per-candidate threshold loop that intercept.min_misclass_intercept must match
-bit for bit, the d-space scatter factor with the lambda cap and the Gram
+library against: the objective and the KKT gap of a dual point, a grid
+search over tiny box QPs, the SMO loop that qp.solve_smo must match within
+stated bounds, the per-candidate threshold loop that
+intercept.min_misclass_intercept must match bit for bit, the d-space scatter factor with the lambda cap and the Gram
 formed from it, and the centred Gram in one d-space product, which
 smw.build_factor's n-space path and dataset.centred_gram's column blocks
 must match within stated bounds, the explicit d x d scatter matrix, and the Box-Muller draw and
@@ -18,8 +18,13 @@ import numpy as np
 
 from psc.dataset import ClassStats, DatasetError, LabeledMatrix, class_stats
 from psc.intercept import Projections
-from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError, objective
+from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, DualSolution, QpError
 from psc.smw import SmwError, SmwOperator, beta
+
+
+def objective(problem: BoxQP, alpha: np.ndarray) -> float:
+    """The dual's objective -1/2 a^T G a + a^T 1 at alpha."""
+    return float(-0.5 * alpha @ problem.G @ alpha + alpha.sum())
 
 
 def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:
@@ -37,9 +42,10 @@ def kkt_violation(problem: BoxQP, alpha: np.ndarray) -> float:
     return max(float(hi - lo), 0.0)
 
 
-def brute_force_small(problem: BoxQP, grid_points: int = 201) -> DualSolution:
-    """Exhaustive grid oracle for n <= 4: free coordinates on a grid, the
-    first coordinate solved from the equality constraint."""
+def brute_force_small(problem: BoxQP, grid_points: int = 201) -> np.ndarray:
+    """The feasible alpha of highest objective found by an exhaustive grid
+    search for n <= 4: free coordinates on a grid, the first coordinate
+    solved from the equality constraint."""
     n = problem.n
     if n > 4:
         raise QpError("brute force oracle limited to n <= 4")
@@ -60,13 +66,7 @@ def brute_force_small(problem: BoxQP, grid_points: int = 201) -> DualSolution:
         if obj > best_obj:
             best_obj = obj
             best_alpha = alpha
-    return DualSolution(
-        alpha=best_alpha,
-        objective=best_obj,
-        kkt_residual=kkt_violation(problem, best_alpha),
-        iterations=grid_points ** max(n - 1, 0),
-        converged=True,
-    )
+    return best_alpha
 
 
 def smo_reference(
@@ -120,7 +120,6 @@ def smo_reference(
     gap = max(float(gap), 0.0)
     return DualSolution(
         alpha=alpha,
-        objective=objective(problem, alpha),
         kkt_residual=gap,
         iterations=it,
         converged=gap <= tol,

@@ -21,7 +21,7 @@ from psc.intercept import Projections, gap_intercept, min_misclass_intercept
 from psc.metrics import ConfusionMatrix, evaluate, report_from_confusion
 from psc.qp import BoxQP, solve_smo
 from psc.smw import apply_inverse, build_operator, gram, lambda_cap
-from tests.oracles import brute_force_small, dense_scatter
+from tests.oracles import brute_force_small, dense_scatter, objective
 from tests.table_fixtures import TABLE_ROWS
 from tests.test_intercept import misclass_count
 
@@ -102,8 +102,9 @@ def test_criterion_3_qp_oracle_equivalence():
         # more than its own KKT slack; the grid point can lag by one cell
         h = upper.max() / (grid_points - 1)
         grad_bound = np.abs(g @ smo.alpha - 1.0).sum() + np.abs(g).sum() * h
-        assert smo.objective >= grid.objective - 1e-9
-        assert grid.objective >= smo.objective - grad_bound * h * n
+        smo_objective, grid_objective = objective(problem, smo.alpha), objective(problem, grid)
+        assert smo_objective >= grid_objective - 1e-9
+        assert grid_objective >= smo_objective - grad_bound * h * n
     ok(3, "SMO matches the grid oracle within resolution on 100 instances")
 
 

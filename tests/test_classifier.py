@@ -104,7 +104,7 @@ class TestFitPsc:
         from psc.qp import DualSolution
 
         def zero_solution(problem, *args, **kwargs):
-            return DualSolution(np.zeros(problem.n), 0.0, 0.0, 0, True)
+            return DualSolution(np.zeros(problem.n), 0.0, 0, True, True)
 
         monkeypatch.setattr(classifier.qp, "solve_smo", zero_solution)
         with pytest.raises(FitError, match="trivial dual"):

@@ -348,23 +348,24 @@ class TestErrorsAndDeterminism:
         rc = run("cv", "--data", data, "--config", cfg,
                  "--out-dir", tmp_path / "cv")
         assert rc == 1
-        assert "unknown config keys: repeat" in capsys.readouterr().err
+        assert f"error: {cfg}: unknown config keys: repeat" in capsys.readouterr().err
         assert not (tmp_path / "cv").exists()
 
     @pytest.mark.parametrize("doc, message", [
         ({"gamma_grid": 0.5}, "gamma_grid must be a list of numbers, got 0.5"),
         ({"outer_folds": 2.5}, "outer_folds must be of type int, got 2.5"),
         ({"repeats": "2"}, "repeats must be of type int, got '2'"),
-        ([1, 2], "a config file holds one JSON object"),
-        ({"tol": float("nan")}, "unknown config keys: tol"),
-        ({"max_iter": 0}, "unknown config keys: max_iter"),
+        ([1, 2], "{cfg}: a config file holds one JSON object"),
+        ({"tol": float("nan")}, "{cfg}: unknown config keys: tol"),
+        ({"max_iter": 0}, "{cfg}: unknown config keys: max_iter"),
         ({"c0_grid": [float("nan")]}, "c0 and r_scale must be positive, got nan"),
-        ({"grid": [[0.5, 1.0]]}, "unknown config keys: grid"),  # built from the grids, not set
-    ])
+        ({"grid": [[0.5, 1.0]]}, "{cfg}: unknown config keys: grid"),  # built from the grids, not set
+    ], ids=lambda v: v.replace("{cfg}: ", "") if isinstance(v, str) else None)
     def test_wrongly_typed_config_exit_code(self, tmp_path, capsys, doc, message):
+        # only the errors that the file alone can cause name it
         rc, out_dir = cv_with_config(tmp_path, "cv", doc)
         assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(cfg=tmp_path / 'cv.json')}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_a_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
@@ -595,6 +596,17 @@ BAD_INPUTS = [(command, flag, fault)
                                             ("evaluate", "--truth", True), ("cv", "--data", True),
                                             ("cv", "--config", False))
               for fault in BAD_FILES if is_csv or fault == "not-utf8"]
+# well-formed files that do not fit: the file's bytes, made from the fixture's good files
+MISFITS = {
+    ("cv", "--config", "json-list"): lambda good: b"[1, 2]",
+    ("cv", "--config", "unknown-key"): lambda good: b'{"bogus": 1}',
+    ("evaluate", "--pred", "one-row-short"):
+        lambda good: b"".join(good["preds.csv"].read_bytes().splitlines(keepends=True)[:-1]),
+    ("predict", "--data", "one-column-wide"):
+        lambda good: b"".join(b"0," + line
+                              for line in good["data.csv"].read_bytes().splitlines(keepends=True)),
+}
+BAD_INPUTS += list(MISFITS)
 
 
 class TestNoBadInputFileEndsInATraceback:
@@ -623,7 +635,7 @@ class TestNoBadInputFileEndsInATraceback:
             "cv": ["--data", good["data.csv"], "--config", good["config.json"], "--out-dir", out],
         }[command]
         bad = tmp_path / "bad"
-        bad.write_bytes(BAD_FILES[fault])
+        bad.write_bytes(BAD_FILES[fault] if fault in BAD_FILES else MISFITS[command, flag, fault](good))
         argv[argv.index(flag) + 1] = bad
         capsys.readouterr()
         assert run(command, *argv) == 1

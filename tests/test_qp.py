@@ -8,8 +8,8 @@ import pytest
 from psc import classifier, qp
 from psc.crossval import ExperimentConfig, cv_run
 from psc.dataset import LabeledMatrix, simulate_fig1, simulate_hdlss
-from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, QpError, objective, solve_smo
-from tests.oracles import brute_force_small, kkt_violation, smo_reference
+from psc.qp import DEFAULT_MAX_ITER, DEFAULT_TOL, BoxQP, QpError, solve_smo
+from tests.oracles import brute_force_small, kkt_violation, objective, smo_reference
 
 I2 = np.eye(2)
 Y2 = np.array([1.0, -1.0])
@@ -45,8 +45,8 @@ def separable_wide_problem(seed, n=10, d=200):
 
 def assert_same_solve(a, b):
     assert a.alpha.dtype == b.alpha.dtype and a.alpha.tobytes() == b.alpha.tobytes()
-    assert (a.iterations, a.kkt_residual, a.objective, a.converged, a.upper_active) == (
-        b.iterations, b.kkt_residual, b.objective, b.converged, b.upper_active)
+    assert (a.iterations, a.kkt_residual, a.converged, a.upper_active) == (
+        b.iterations, b.kkt_residual, b.converged, b.upper_active)
 
 
 class TestBoxQP:
@@ -84,7 +84,7 @@ class TestBoxQP:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_g(self, bad):
         # a NaN off-diagonal passed the symmetry test and then ran to
-        # max_iter, returning objective=nan
+        # max_iter, to an objective of nan
         with pytest.raises(QpError, match="non-finite"):
             solve_smo(BoxQP([[1.0, bad], [bad, 1.0]], Y2, [1.0, 1.0]), max_iter=10)
 
@@ -97,9 +97,10 @@ class TestSolveSmo:
         assert sol.converged
 
     def test_analytic_interior(self):
-        sol = solve_smo(BoxQP(I2, Y2, [2.0, 2.0]))
+        p = BoxQP(I2, Y2, [2.0, 2.0])
+        sol = solve_smo(p)
         assert np.allclose(sol.alpha, [1.0, 1.0], atol=1e-8)
-        assert sol.objective == pytest.approx(1.0, abs=1e-10)
+        assert objective(p, sol.alpha) == pytest.approx(1.0, abs=1e-10)
 
     def test_one_class_exits_through_the_empty_working_set(self):
         sol = solve_smo(BoxQP(I2, [1.0, 1.0], [1.0, 1.0]))
@@ -123,8 +124,8 @@ class TestSolveSmo:
         p = random_small_problem(2024, n=3)
         smo = solve_smo(p)
         grid = brute_force_small(p, 201)
-        assert smo.objective >= grid.objective - 1e-9
-        assert np.abs(smo.alpha - grid.alpha).max() <= 1e-2
+        assert objective(p, smo.alpha) >= objective(p, grid) - 1e-9
+        assert np.abs(smo.alpha - grid).max() <= 1e-2
         assert smo.kkt_residual <= 1e-6
 
     def test_objective_monotone(self):
@@ -212,18 +213,18 @@ class TestUpperActive:
 
 class TestBruteForce:
     def test_analytic_case(self):
-        sol = brute_force_small(BoxQP(I2, Y2, [0.5, 0.5]), 201)
-        assert np.allclose(sol.alpha, [0.5, 0.5], atol=1e-12)
+        alpha = brute_force_small(BoxQP(I2, Y2, [0.5, 0.5]), 201)
+        assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
 
     def test_zero_g_maximizes_sum(self):
-        sol = brute_force_small(BoxQP(np.zeros((2, 2)), Y2, [1.0, 0.5]), 201)
-        assert np.allclose(sol.alpha, [0.5, 0.5], atol=1e-12)
+        alpha = brute_force_small(BoxQP(np.zeros((2, 2)), Y2, [1.0, 0.5]), 201)
+        assert np.allclose(alpha, [0.5, 0.5], atol=1e-12)
 
     def test_grid_refinement_monotone(self):
         p = random_small_problem(5, n=3)
         coarse = brute_force_small(p, 101)
         fine = brute_force_small(p, 201)
-        assert fine.objective >= coarse.objective - 1e-15
+        assert objective(p, fine) >= objective(p, coarse) - 1e-15
 
     def test_rejects_large_n(self):
         rng = np.random.default_rng(0)
@@ -283,7 +284,8 @@ def assert_near_reference(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, a
     sol = solve_smo(problem, tol, max_iter)
     assert sol.converged and ref.converged
     assert kkt_violation(problem, sol.alpha) <= tol
-    assert sol.objective >= ref.objective - 1e-12 * abs(ref.objective)
+    ref_objective = objective(problem, ref.alpha)
+    assert objective(problem, sol.alpha) >= ref_objective - 1e-12 * abs(ref_objective)
     if alpha_rel is not None:
         assert np.abs(sol.alpha - ref.alpha).max() <= alpha_rel * ref.alpha.max()
     return sol
@@ -318,7 +320,7 @@ class TestMatchesReference:
                 assert sol.kkt_residual == pytest.approx(kkt_violation(p, sol.alpha), rel=1e-12)
                 assert np.all((sol.alpha >= 0.0) & (sol.alpha <= p.upper))
                 assert abs(sol.alpha @ p.y) <= 1e-12 * p.upper.sum()
-                assert sol.objective <= solve_smo(p).objective + 1e-12
+                assert objective(p, sol.alpha) <= objective(p, solve_smo(p).alpha) + 1e-12
 
     def test_caps_around_the_largest_free_multiplier(self):
         problems = [separable_wide_problem(seed)[0] for seed in range(10)]
@@ -340,7 +342,8 @@ class TestMatchesReference:
         # zero-G-4's optimum is a segment (alpha_0 + alpha_3 = 1.25), so only
         # its objective is held to the reference
         sol = assert_near_reference(problem, alpha_rel=1e-12 if unique else None)
-        assert sol.objective == pytest.approx(smo_reference(problem).objective, rel=1e-12, abs=0.0)
+        assert objective(problem, sol.alpha) == pytest.approx(
+            objective(problem, smo_reference(problem).alpha), rel=1e-12, abs=0.0)
 
     def test_rejects_a_nonpositive_tol(self):
         with pytest.raises(QpError, match="tol must be positive"):
